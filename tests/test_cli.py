@@ -312,3 +312,43 @@ class TestHelpAndErrors:
         assert "time.time" not in source
         assert "datetime" not in source
         assert "urandom" not in source
+
+
+# Fixed-seed runs whose stdout and --out CSV are pinned byte for byte in
+# tests/golden/<name>.stdout and tests/golden/<name>.csv.
+OUTPUT_CASES = {
+    "score_plain": (
+        "score", "--cell", "{cell}", "--seed", "7", "--batch", "gauss:8x3x8x8",
+        "--depth", "2", "--stem-channels", "4", "--reductions", "1",
+    ),
+    "score_reg": (
+        "score", "--cell", "{cell}", "--seed", "7", "--batch", "gauss:8x3x8x8",
+        "--depth", "2", "--stem-channels", "4", "--reductions", "1",
+        "--mu", "0.001", "--sigma", "0.5",
+    ),
+    "score_no_standardise": (
+        "score", "--cell", "{cell}", "--seed", "7", "--batch", "gauss:8x3x8x8",
+        "--depth", "2", "--stem-channels", "4", "--reductions", "1",
+        "--no-standardise",
+    ),
+    "ablate_dims_random": (
+        "ablate-dims", "--dims", "3x4x4,3x6x6", "--cells", "4", "--batch-size", "9",
+        "--depth", "1", "--stem-channels", "4", "--seed", "3",
+    ),
+    "ablate_dims_truth": (
+        "ablate-dims", "--dims", "3x5x5,3x3x3", "--truth", "{truth}", "--batch-size", "6",
+        "--depth", "1", "--stem-channels", "4", "--seed", "2",
+        "--mu", "0.002", "--sigma", "0.01",
+    ),
+}
+
+
+class TestOutputGoldens:
+    @pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
+    def test_stdout_and_csv_match_golden(self, capsys, tmp_path, cell_file, truth_file, name):
+        out_csv = tmp_path / "out.csv"
+        argv = [a.format(cell=cell_file, truth=truth_file) for a in OUTPUT_CASES[name]]
+        code, out, err = run(capsys, *argv, "--out", str(out_csv))
+        assert code == 0, err
+        assert out == (GOLDEN / f"{name}.stdout").read_text()
+        assert out_csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
