@@ -14,7 +14,6 @@ from swapnas import (
     RegularisationParams,
     build_network,
     count_flops,
-    count_intermediate_values,
     count_parameters,
     forward_capture,
     gaussian_batch,
@@ -43,13 +42,14 @@ assembly = AssemblyConfig(depth=3, stem_channels=16)
 net = build_network(cell, assembly, seed=7)
 batch = gaussian_batch(32, (3, 16, 16), seed=1)
 
+capture = forward_capture(net, batch)
+
 print()
-print("intermediate values V =", count_intermediate_values(net, batch.dims))
+print("intermediate values V =", capture.n_values)
 print("parameters =", count_parameters(cell, assembly), "->",
       round(params_to_megabytes(count_parameters(cell, assembly)), 4), "MB")
 print("multiply-accumulates =", count_flops(cell, assembly, batch.dims))
 
-capture = forward_capture(net, batch)
 standard = standard_pattern_cardinality(capture)
 sample_wise = swap_score(capture)
 print()

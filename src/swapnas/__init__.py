@@ -13,12 +13,10 @@ tables.
 from .cells import (
     AssemblyConfig,
     AssemblyError,
-    BaselineMetrics,
     CellMatrix,
     CellValidationError,
     ShapeError,
     assemble_descriptor,
-    baseline_metrics,
     count_flops,
     count_parameters,
     nb201_like_assembly,
@@ -72,7 +70,6 @@ from .network import (
     NumericOverflowError,
     build_mlp,
     build_network,
-    count_intermediate_values,
     forward_capture,
     gaussian_batch,
     read_tensor_file,

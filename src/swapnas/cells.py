@@ -434,37 +434,36 @@ def trace_shapes(
     return shapes
 
 
-def count_parameters(
-    cell: CellMatrix,
-    cfg: AssemblyConfig,
-    in_channels: int = 3,
-    include_bias: bool = False,
-) -> int:
-    """Total weight count of the assembled network.
+def _weight_count(node: NodeSpec, c_in: int) -> int:
+    if node.kind == "conv":
+        return node.channels_out * c_in * node.kernel * node.kernel
+    if node.kind == "dense":
+        return node.units * c_in
+    return 0
 
-    Biases are excluded by default because initialisation zeroes them; the
-    toggle changes the total by well under a percent on realistic stacks.
+
+def graph_parameters(nodes: tuple[NodeSpec, ...], in_channels: int) -> int:
+    """Total weight count of an assembled graph.
+
+    Biases are excluded because initialisation zeroes them.
     """
-    nodes = assemble_descriptor(cell, cfg, in_channels)
     channels = trace_channels(nodes, in_channels)
+    return sum(_weight_count(node, channels[node.inputs[0]]) for node in nodes if node.inputs)
+
+
+def graph_macs(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, int, int]) -> int:
+    """Multiply-accumulate count: per weighted layer, params times output area."""
+    shapes = trace_shapes(nodes, input_dims)
     total = 0
-    for node in nodes:
-        if node.kind == "conv":
-            c_in = channels[node.inputs[0]]
-            total += node.channels_out * c_in * node.kernel * node.kernel
-            if include_bias:
-                total += node.channels_out
-        elif node.kind == "dense":
-            c_in = channels[node.inputs[0]]
-            total += node.units * c_in
-            if include_bias:
-                total += node.units
+    for node, (_, out_w, out_h) in zip(nodes, shapes):
+        if node.inputs:
+            total += _weight_count(node, shapes[node.inputs[0]][0]) * out_w * out_h
     return total
 
 
-def params_to_megabytes(param_count: int, bytes_per_param: float = 4.0) -> float:
-    """Model size in MB at the given storage width (float32 by default)."""
-    return param_count * bytes_per_param / 2**20
+def count_parameters(cell: CellMatrix, cfg: AssemblyConfig, in_channels: int = 3) -> int:
+    """Total weight count of the assembled network (see :func:`graph_parameters`)."""
+    return graph_parameters(assemble_descriptor(cell, cfg, in_channels), in_channels)
 
 
 def count_flops(
@@ -472,39 +471,10 @@ def count_flops(
     cfg: AssemblyConfig,
     input_dims: tuple[int, int, int],
 ) -> int:
-    """Multiply-accumulate count: per weighted layer, params times output area."""
-    nodes = assemble_descriptor(cell, cfg, input_dims[0])
-    channels = trace_channels(nodes, input_dims[0])
-    shapes = trace_shapes(nodes, input_dims)
-    total = 0
-    for idx, node in enumerate(nodes):
-        if node.kind == "conv":
-            c_in = channels[node.inputs[0]]
-            _, out_w, out_h = shapes[idx]
-            total += node.channels_out * c_in * node.kernel * node.kernel * out_w * out_h
-        elif node.kind == "dense":
-            total += node.units * channels[node.inputs[0]]
-    return total
+    """Multiply-accumulate count of the assembled network (see :func:`graph_macs`)."""
+    return graph_macs(assemble_descriptor(cell, cfg, input_dims[0]), input_dims)
 
 
-@dataclass(frozen=True)
-class BaselineMetrics:
-    """Size and compute baselines used alongside the activation metrics."""
-
-    param_count: int
-    size_mb: float
-    flops: int
-
-
-def baseline_metrics(
-    cell: CellMatrix,
-    cfg: AssemblyConfig,
-    input_dims: tuple[int, int, int],
-    bytes_per_param: float = 4.0,
-) -> BaselineMetrics:
-    params = count_parameters(cell, cfg, input_dims[0])
-    return BaselineMetrics(
-        param_count=params,
-        size_mb=params_to_megabytes(params, bytes_per_param),
-        flops=count_flops(cell, cfg, input_dims),
-    )
+def params_to_megabytes(param_count: int) -> float:
+    """Model size in MB at float32 storage width."""
+    return param_count * 4.0 / 2**20

@@ -12,23 +12,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .cells import (
-    AssemblyConfig,
-    AssemblyError,
-    CellValidationError,
-    ShapeError,
-    count_flops,
-    count_parameters,
-    params_to_megabytes,
-    random_cell,
-    read_cell_file,
-)
+from .cells import AssemblyConfig, random_cell, read_cell_file
 from .evaluation import (
-    InsufficientDataError,
-    TableError,
     atomic_write_text,
     correlation_report,
     input_dim_ablation,
@@ -41,28 +30,12 @@ from .evaluation import (
     write_report_csv,
     write_score_records,
 )
-from .evolution import SearchConfig, resume_search, run_search
-from .metric import (
-    ContractViolationError,
-    RegularisationParams,
-    ScoreRecord,
-    regularised_swap_score,
-    swap_score,
-)
-from .network import build_network, count_intermediate_values, forward_capture
-from .scoring import derive_seed, make_batch
+from .evolution import SearchConfig, config_differences, load_checkpoint, resume_search, run_search
+from .metric import RegularisationParams
+from .scoring import BATCH_SALT, derive_seed, make_batch, score_and_capture
 
-_VALIDATION_ERRORS = (
-    TableError,
-    CellValidationError,
-    AssemblyError,
-    ShapeError,
-    ContractViolationError,
-    InsufficientDataError,
-    FileNotFoundError,
-    IsADirectoryError,
-    ValueError,
-)
+# Every validation error of the library, and UsageError below, is a ValueError.
+_VALIDATION_ERRORS = (FileNotFoundError, IsADirectoryError, ValueError)
 
 
 class UsageError(ValueError):
@@ -101,23 +74,27 @@ def _assembly_from_args(args) -> AssemblyConfig:
     )
 
 
-def _add_scoring_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch", default="gauss:32x3x32x32", help="batch spec: gauss:SxCxWxH or a tensor file path")
-    p.add_argument("--seed", type=int, default=0, help="global random seed")
-    p.add_argument("--mu", type=float, default=None, help="regularisation centre (model size)")
-    p.add_argument("--sigma", type=float, default=None, help="regularisation width")
-    p.add_argument("--auto-reg", action="store_true", help="estimate mu and sigma from the size distribution")
-    p.add_argument("--no-standardise", action="store_true", help="disable per-channel pre-activation standardisation")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for per-architecture scoring")
+_SCORING_FLAGS = {
+    "--batch": dict(default="gauss:32x3x32x32", help="batch spec: gauss:SxCxWxH or a tensor file path"),
+    "--seed": dict(type=int, default=0, help="global random seed"),
+    "--mu": dict(type=float, default=None, help="regularisation centre (model size)"),
+    "--sigma": dict(type=float, default=None, help="regularisation width"),
+    "--no-standardise": dict(action="store_true", help="disable per-channel pre-activation standardisation"),
+    "--threads": dict(type=int, default=1, help="worker cap for per-architecture scoring"),
+}
+
+
+def _add_scoring_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named scoring flags (in ``_SCORING_FLAGS`` order) and the assembly flags."""
+    for flag, kwargs in _SCORING_FLAGS.items():
+        if flag in flags:
+            p.add_argument(flag, **kwargs)
+    _add_assembly_flags(p)
 
 
 def _reg_from_args(args):
-    if args.auto_reg and (args.mu is not None or args.sigma is not None):
-        raise UsageError("--auto-reg conflicts with explicit --mu/--sigma")
     if (args.mu is None) != (args.sigma is None):
         raise UsageError("--mu and --sigma must be given together")
-    if args.auto_reg:
-        return "auto"
     if args.mu is not None:
         return RegularisationParams(mu=args.mu, sigma=args.sigma)
     return None
@@ -130,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score one cell on one batch")
     p.add_argument("--cell", required=True, help="cell file to score")
     p.add_argument("--out", default=None, help="also write the record as a score CSV")
-    _add_scoring_flags(p)
-    _add_assembly_flags(p)
+    _add_scoring_flags(p, "--batch", "--seed", "--mu", "--sigma", "--no-standardise")
 
     p = sub.add_parser("search", help="run the evolutionary search")
     p.add_argument("--config", required=True, help="key=value search configuration file")
@@ -143,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-scores", default=None, help="write freshly computed scores to this CSV")
     p.add_argument("--out", default=None, help="write the per-seed report as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
-    _add_scoring_flags(p)
-    _add_assembly_flags(p)
+    _add_scoring_flags(p, "--batch", "--mu", "--sigma", "--no-standardise", "--threads")
 
     p = sub.add_parser("sweep", help="sweep regularisation parameters on a grid")
     p.add_argument("--truth", required=True, help="accuracy table CSV")
@@ -153,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=1, help="seed groups when scoring the table directly")
     p.add_argument("--out", default=None, help="write the sweep as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
-    _add_scoring_flags(p)
-    _add_assembly_flags(p)
+    _add_scoring_flags(p, "--batch", "--no-standardise", "--threads")
 
     p = sub.add_parser("ablate-dims", help="compare metrics across input dimensionalities")
     p.add_argument("--dims", required=True, help="input dims CxWxH[,CxWxH...]")
@@ -164,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="accuracy table; its cells replace random ones")
     p.add_argument("--out", default=None, help="write rows as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
-    _add_scoring_flags(p)
-    _add_assembly_flags(p)
+    _add_scoring_flags(p, "--seed", "--mu", "--sigma", "--no-standardise")
 
     p = sub.add_parser("histogram", help="histogram of model sizes")
     p.add_argument("--truth", default=None, help="accuracy table with a size_mb column")
@@ -178,27 +151,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_score(args) -> int:
     cell = read_cell_file(args.cell)
-    assembly = _assembly_from_args(args)
-    reg = _reg_from_args(args)
-    if reg == "auto":
-        raise UsageError("score rates a single cell; give explicit --mu/--sigma or neither")
-    batch = make_batch(args.batch, derive_seed(args.seed, 0x5A3C6F1D))
-    net = build_network(cell, assembly, derive_seed(args.seed, cell.stable_hash()), batch.channels)
-    capture = forward_capture(net, batch, standardise=not args.no_standardise)
-    raw = swap_score(capture)
-    params = count_parameters(cell, assembly, batch.channels)
-    size_mb = params_to_megabytes(params)
-    reg_swap = regularised_swap_score(raw, size_mb, reg) if reg is not None else float(raw)
-    flops = count_flops(cell, assembly, batch.dims)
-    values = count_intermediate_values(net, batch.dims)
-    print(f"swap_score={raw}")
-    print(f"reg_swap_score={_fmt(reg_swap)}")
-    print(f"theta_mb={_fmt(size_mb)}")
-    print(f"flops={flops}")
-    print(f"n_values={values}")
+    batch = make_batch(args.batch, derive_seed(args.seed, BATCH_SALT))
+    record, capture = score_and_capture(
+        cell,
+        _assembly_from_args(args),
+        batch,
+        derive_seed(args.seed, cell.stable_hash()),
+        _reg_from_args(args),
+        standardise=not args.no_standardise,
+        arch_id="cell",
+        batch_label=args.batch,
+    )
+    print(f"swap_score={record.swap}")
+    print(f"reg_swap_score={_fmt(record.reg_swap)}")
+    print(f"theta_mb={_fmt(record.size_mb)}")
+    print(f"flops={record.flops}")
+    print(f"n_values={capture.n_values}")
     if args.out:
-        record = ScoreRecord("cell", raw, reg_swap, size_mb, flops, args.seed, args.batch)
-        write_score_records(args.out, [record])
+        write_score_records(args.out, [replace(record, seed=args.seed)])
     return 0
 
 
@@ -292,6 +262,11 @@ def _cmd_search(args) -> int:
 
     checkpoint = outputs["checkpoint"]
     if outputs["resume"] and checkpoint and os.path.exists(checkpoint):
+        differing = config_differences(load_checkpoint(checkpoint).cfg, cfg)
+        if differing:
+            raise UsageError(
+                f"{args.config} differs from checkpoint {checkpoint} in: {', '.join(differing)}"
+            )
         result = resume_search(
             checkpoint, checkpoint_every=outputs["checkpoint_every"], on_cycle=log_cycle
         )
@@ -319,7 +294,7 @@ def _cmd_search(args) -> int:
             f"best_size_mb={_fmt(result.best.size_mb)}",
             f"best_seed={result.best.seed}",
             f"evaluations={result.evaluations}",
-            f"cycles={cfg.cycles}",
+            f"cycles={len(result.trace) - 1}",
             f"mu={_fmt(None if reg is None else reg.mu)}",
             f"sigma={_fmt(None if reg is None else reg.sigma)}",
         ]
@@ -327,7 +302,7 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _records_for(args) -> list:
+def _records_for(args, reg) -> list:
     if args.scores:
         return read_score_records(args.scores)
     table = load_accuracy_table(args.truth)
@@ -336,7 +311,7 @@ def _records_for(args) -> list:
         _assembly_from_args(args),
         args.batch,
         n_seeds=args.seeds,
-        reg=_reg_from_args(args) or "auto",
+        reg=reg,
         standardise=not args.no_standardise,
         n_workers=args.threads,
     )
@@ -347,7 +322,7 @@ def _records_for(args) -> list:
 
 def _cmd_correlate(args) -> int:
     table = load_accuracy_table(args.truth)
-    records = _records_for(args)
+    records = _records_for(args, _reg_from_args(args) or "auto")
     report = correlation_report(records, table)
     for metric in ("swap", "reg_swap"):
         print(f"{metric}_rho={_fmt(report.mean[metric])}")
@@ -387,7 +362,8 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
 
 def _cmd_sweep(args) -> int:
     table = load_accuracy_table(args.truth)
-    records = _records_for(args)
+    # The sweep rescales raw scores itself, so the records' own bell is never read.
+    records = _records_for(args, "auto")
     points = mu_sigma_sweep(records, table, _parse_grid(args.grid))
     rows = []
     for pt in points:
@@ -444,20 +420,8 @@ def _cmd_ablate_dims(args) -> int:
             f"swap={_fmt(row.swap_mean)}+-{_fmt(row.swap_std)} "
             f"reg_swap={_fmt(row.reg_swap_mean)}+-{_fmt(row.reg_swap_std)}"
         )
-        csv_rows.append(
-            {
-                "dims": label,
-                "standard_mean": row.standard_mean,
-                "standard_std": row.standard_std,
-                "swap_mean": row.swap_mean,
-                "swap_std": row.swap_std,
-                "reg_swap_mean": row.reg_swap_mean,
-                "reg_swap_std": row.reg_swap_std,
-                "rho_standard": row.rho_standard,
-                "rho_swap": row.rho_swap,
-                "rho_reg_swap": row.rho_reg_swap,
-            }
-        )
+        # The CSV columns are the AblationRow fields in order, dims written as CxWxH.
+        csv_rows.append(asdict(row) | {"dims": label})
     if args.out:
         write_report_csv(args.out, csv_rows)
     if args.plot:
@@ -512,9 +476,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

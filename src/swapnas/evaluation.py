@@ -23,14 +23,12 @@ from .metric import (
     ScoreRecord,
     regularised_swap_score,
     standard_pattern_cardinality,
-    swap_score,
 )
-from .network import build_network, forward_capture, gaussian_batch
-from .scoring import derive_seed, make_batch, score_cells
+from .network import gaussian_batch
+from .scoring import BATCH_SALT, derive_seed, make_batch, score_and_capture, score_cells
 
 TABLE_COLUMNS = ("arch_id", "cell", "accuracy")
 SCORE_COLUMNS = ("arch_id", "seed", "batch", "swap", "reg_swap", "size_mb", "flops")
-_BATCH_SALT = 0x5A3C6F1D
 
 
 class TableError(ValueError):
@@ -379,7 +377,7 @@ def score_table(
         group = table.entries[seed::n_seeds]
         if not group:
             continue
-        batch = make_batch(batch_spec, derive_seed(seed, _BATCH_SALT))
+        batch = make_batch(batch_spec, derive_seed(seed, BATCH_SALT))
         scored = score_cells(
             [e.cell for e in group],
             assembly,
@@ -392,10 +390,7 @@ def score_table(
             n_workers=n_workers,
         )
         # score_cells stamps the derived weight seed; reports group by protocol seed
-        records.extend(
-            ScoreRecord(r.arch_id, r.swap, r.reg_swap, r.size_mb, r.flops, seed, r.batch)
-            for r in scored
-        )
+        records.extend(replace(r, seed=seed) for r in scored)
     return records
 
 
@@ -468,20 +463,18 @@ def input_dim_ablation(
         )
     rows: list[AblationRow] = []
     for di, dims in enumerate(dims_list):
-        batch = gaussian_batch(batch_size, dims, derive_seed(seed, _BATCH_SALT + di))
+        batch = gaussian_batch(batch_size, dims, derive_seed(seed, BATCH_SALT + di))
         standard_vals: list[float] = []
         swap_vals: list[float] = []
         reg_vals: list[float] = []
         for cell in cells:
-            net = build_network(cell, assembly, derive_seed(seed, cell.stable_hash()), dims[0])
-            capture = forward_capture(net, batch, standardise=standardise)
-            raw = swap_score(capture)
-            standard_vals.append(float(standard_pattern_cardinality(capture)))
-            swap_vals.append(float(raw))
-            size_mb = params_to_megabytes(count_parameters(cell, assembly, dims[0]))
-            reg_vals.append(
-                regularised_swap_score(raw, size_mb, reg) if reg is not None else float(raw)
+            record, capture = score_and_capture(
+                cell, assembly, batch, derive_seed(seed, cell.stable_hash()), reg,
+                standardise=standardise,
             )
+            standard_vals.append(float(standard_pattern_cardinality(capture)))
+            swap_vals.append(float(record.swap))
+            reg_vals.append(record.reg_swap)
         row = AblationRow(
             dims=dims,
             standard_mean=float(np.mean(standard_vals)),

@@ -28,10 +28,9 @@ from .cells import (
 )
 from .evaluation import atomic_write_text, estimate_mu_sigma
 from .metric import RegularisationParams
-from .scoring import derive_seed, make_batch, score_cell
+from .scoring import BATCH_SALT, derive_seed, make_batch, score_cell
 
 CHECKPOINT_MAGIC = "SWAPCKPT 1"
-_BATCH_SALT = 0x5A3C6F1D
 
 
 class NoEdgeError(ValueError):
@@ -171,7 +170,7 @@ class SearchResult:
 
 def batch_for_config(cfg: SearchConfig):
     """The one input batch shared by every evaluation of a run."""
-    return make_batch(cfg.batch, derive_seed(cfg.seed, _BATCH_SALT))
+    return make_batch(cfg.batch, derive_seed(cfg.seed, BATCH_SALT))
 
 
 class _SearchState:
@@ -312,6 +311,18 @@ def _config_from_dict(data: dict) -> SearchConfig:
         ),
         standardise=data["standardise"],
     )
+
+
+def config_differences(a: SearchConfig, b: SearchConfig) -> list[str]:
+    """Config keys, with the assembly's keys flattened, on which two configs differ."""
+
+    def flat(cfg: SearchConfig) -> dict:
+        data = _config_to_dict(cfg)
+        assembly = data.pop("assembly")
+        return {**data, **assembly}
+
+    fa, fb = flat(a), flat(b)
+    return sorted(key for key in fa if fa[key] != fb[key])
 
 
 def save_checkpoint(path, state: _SearchState) -> None:

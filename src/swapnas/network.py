@@ -102,20 +102,6 @@ def read_tensor_file(path) -> InputBatch:
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """A fully bound layer: geometry plus the input spatial dims it sees."""
-
-    kind: str  # conv | avg-pool | skip | dense
-    channels_out: int = 0
-    kernel: int = 0
-    stride: int = 1
-    padding: int = 0
-    in_width: int = 0
-    in_height: int = 0
-    units: int = 0
-
-
-@dataclass(frozen=True)
 class NetworkInstance:
     """Immutable assembled network: node graph plus seeded random weights."""
 
@@ -137,28 +123,6 @@ class NetworkInstance:
             arr.setflags(write=False)
             frozen.append(arr)
         object.__setattr__(self, "weights", tuple(frozen))
-
-    def layers(self, input_dims: tuple[int, int, int]) -> tuple[LayerSpec, ...]:
-        """Bound layer views (conv, pooling, skip, dense) for the given input."""
-        shapes = trace_shapes(self.nodes, input_dims)
-        out = []
-        for node in self.nodes:
-            if node.kind not in ("conv", "avg-pool", "skip", "dense"):
-                continue
-            _, w, h = shapes[node.inputs[0]]
-            out.append(
-                LayerSpec(
-                    kind=node.kind,
-                    channels_out=node.channels_out,
-                    kernel=node.kernel,
-                    stride=node.stride,
-                    padding=node.padding,
-                    in_width=w,
-                    in_height=h,
-                    units=node.units,
-                )
-            )
-        return tuple(out)
 
 
 def network_from_nodes(
@@ -222,26 +186,6 @@ def build_mlp(
     return network_from_nodes(tuple(nodes), seed, in_features)
 
 
-def count_intermediate_values(net: NetworkInstance, batch_dims: tuple[int, int, int]) -> int:
-    """Number of scalars feeding ReLU layers for the given input dims.
-
-    Scored convolutions contribute channels times output area, scored dense
-    layers their unit count; pooling, skips and linear adapters contribute
-    nothing.
-    """
-    shapes = trace_shapes(net.nodes, batch_dims)
-    total = 0
-    for idx, node in enumerate(net.nodes):
-        if not node.scored:
-            continue
-        if node.kind == "conv":
-            c, w, h = shapes[idx]
-            total += c * w * h
-        elif node.kind == "dense":
-            total += node.units
-    return total
-
-
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -271,7 +215,8 @@ def forward_capture(
 ) -> ActivationCapture:
     """Run the batch through the network, recording only activation bits.
 
-    The capture has exactly ``count_intermediate_values`` rows and one
+    The capture has one row per value that feeds a ReLU (scored convs give
+    channels times output area, scored dense layers their units) and one
     column per sample; raw activations are freed as soon as every consumer
     has used them.  With ``standardise`` enabled, each scored layer's
     pre-activations are shifted and scaled per channel to batch mean 0 and

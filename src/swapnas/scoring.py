@@ -12,12 +12,20 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 
-from .cells import AssemblyConfig, CellMatrix, count_flops, count_parameters, params_to_megabytes
-from .metric import RegularisationParams, ScoreRecord, regularised_swap_score, swap_score
+from .cells import AssemblyConfig, CellMatrix, graph_macs, graph_parameters, params_to_megabytes
+from .metric import (
+    ActivationCapture,
+    RegularisationParams,
+    ScoreRecord,
+    regularised_swap_score,
+    swap_score,
+)
 from .network import InputBatch, build_network, forward_capture, gaussian_batch, read_tensor_file
 
 _GAUSS_RE = re.compile(r"^gauss:(\d+)x(\d+)x(\d+)x(\d+)$")
 _SEED_MASK = (1 << 64) - 1
+# Salt of the batch seed, so a run's batch and its weights draw from different streams.
+BATCH_SALT = 0x5A3C6F1D
 
 
 def derive_seed(global_seed: int, salt: int) -> int:
@@ -47,6 +55,45 @@ def make_batch(spec: str, seed: int) -> InputBatch:
     return read_tensor_file(detail)
 
 
+def score_and_capture(
+    cell: CellMatrix,
+    assembly: AssemblyConfig,
+    batch: InputBatch,
+    weight_seed: int,
+    reg: RegularisationParams | None = None,
+    *,
+    standardise: bool = True,
+    arch_id: str = "",
+    batch_label: str = "",
+) -> tuple[ScoreRecord, ActivationCapture]:
+    """Score one architecture on one batch and keep the activation capture.
+
+    The cell is assembled once; size and FLOP counts come from the same
+    node graph the forward pass runs.  Without regularisation parameters
+    the regularised score equals the raw one (neutral factor), mirroring
+    the no-regularisation rows of the sweep reports.
+    """
+    net = build_network(cell, assembly, weight_seed, in_channels=batch.channels)
+    capture = forward_capture(net, batch, standardise=standardise)
+    raw = swap_score(capture)
+    params = graph_parameters(net.nodes, batch.channels)
+    size_mb = params_to_megabytes(params)
+    if reg is None:
+        reg_swap = float(raw)
+    else:
+        reg_swap = regularised_swap_score(raw, size_mb, reg)
+    record = ScoreRecord(
+        arch_id=arch_id,
+        swap=raw,
+        reg_swap=reg_swap,
+        size_mb=size_mb,
+        flops=graph_macs(net.nodes, batch.dims),
+        seed=weight_seed,
+        batch=batch_label,
+    )
+    return record, capture
+
+
 def score_cell(
     cell: CellMatrix,
     assembly: AssemblyConfig,
@@ -58,30 +105,18 @@ def score_cell(
     arch_id: str = "",
     batch_label: str = "",
 ) -> ScoreRecord:
-    """Score one architecture on one batch.
-
-    Without regularisation parameters the regularised score equals the raw
-    one (neutral factor), mirroring the no-regularisation rows of the
-    sweep reports.
-    """
-    net = build_network(cell, assembly, weight_seed, in_channels=batch.channels)
-    capture = forward_capture(net, batch, standardise=standardise)
-    raw = swap_score(capture)
-    params = count_parameters(cell, assembly, in_channels=batch.channels)
-    size_mb = params_to_megabytes(params)
-    if reg is None:
-        reg_swap = float(raw)
-    else:
-        reg_swap = regularised_swap_score(raw, size_mb, reg)
-    return ScoreRecord(
+    """Score one architecture on one batch (see :func:`score_and_capture`)."""
+    record, _ = score_and_capture(
+        cell,
+        assembly,
+        batch,
+        weight_seed,
+        reg,
+        standardise=standardise,
         arch_id=arch_id,
-        swap=raw,
-        reg_swap=reg_swap,
-        size_mb=size_mb,
-        flops=count_flops(cell, assembly, batch.dims),
-        seed=weight_seed,
-        batch=batch_label,
+        batch_label=batch_label,
     )
+    return record
 
 
 def score_cells(

@@ -258,14 +258,8 @@ class TestSizeAccounting:
                 assert count_parameters(cell.replace(i, j, conv_code), cfg) > base
             checked += 1
 
-    def test_bias_toggle_adds_one_per_filter(self):
-        cfg = AssemblyConfig(depth=1, stem_channels=16)
-        plain = count_parameters(ALL_SKIP_CHAIN, cfg)
-        assert count_parameters(ALL_SKIP_CHAIN, cfg, include_bias=True) == plain + 16
-
     def test_megabyte_conversion(self):
         assert params_to_megabytes(2**20) == 4.0
-        assert params_to_megabytes(2**20, bytes_per_param=2.0) == 2.0
 
 
 class TestFlops:

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swapnas.cells import CellMatrix, write_cell_file
+from swapnas.cells import AssemblyConfig, CellMatrix, write_cell_file
 from swapnas.cli import main
 from swapnas.evaluation import load_accuracy_table, read_score_records
+from swapnas.evolution import SearchConfig, run_search
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,6 +164,47 @@ class TestSearchCommand:
         assert main(["search", "--config", cfg]) == 0
         capsys.readouterr()
         assert cell_out.read_bytes() == first
+
+
+    def test_resume_rejects_a_config_that_differs_from_the_checkpoint(self, capsys, tmp_path):
+        ckpt = tmp_path / "search.ckpt"
+        summary = tmp_path / "summary.txt"
+        base = dict(checkpoint=str(ckpt), resume="true", out_summary=str(summary))
+        cfg = self.write_config(tmp_path, **base)
+        assert main(["search", "--config", cfg]) == 0
+        capsys.readouterr()
+        before = summary.read_bytes()
+        changed = self.write_config(tmp_path, **base, cycles=50, population=9)
+        code, _, err = run(capsys, "search", "--config", changed)
+        assert code == 1
+        assert "cycles" in err and "population" in err
+        assert "mutation_times" not in err
+        assert summary.read_bytes() == before
+
+    def test_resumed_summary_matches_the_uninterrupted_run(self, capsys, tmp_path):
+        full = tmp_path / "full.txt"
+        assert main(["search", "--config", self.write_config(tmp_path, out_summary=str(full))]) == 0
+        # Interrupt an identically configured run after its second cycle.
+        ckpt = tmp_path / "search.ckpt"
+        cfg = SearchConfig(
+            population=6, cycles=4, mutation_times=2, seed=11, batch="gauss:4x3x6x6",
+            nodes=4, assembly=AssemblyConfig(depth=1, stem_channels=4),
+        )
+
+        def stop(cycle, population, best):
+            if cycle == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_search(cfg, checkpoint_path=str(ckpt), on_cycle=stop)
+        resumed = tmp_path / "resumed.txt"
+        resume_cfg = self.write_config(
+            tmp_path, checkpoint=str(ckpt), resume="true", out_summary=str(resumed)
+        )
+        assert main(["search", "--config", resume_cfg]) == 0
+        capsys.readouterr()
+        assert "cycles=4\n" in resumed.read_text()
+        assert resumed.read_bytes() == full.read_bytes()
 
 
 class TestCorrelate:

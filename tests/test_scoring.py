@@ -3,10 +3,26 @@
 import numpy as np
 import pytest
 
-from swapnas.cells import AssemblyConfig, CellMatrix
+import swapnas.cells
+import swapnas.network
+from swapnas.cells import (
+    AssemblyConfig,
+    CellMatrix,
+    count_flops,
+    count_parameters,
+    params_to_megabytes,
+    random_cell,
+)
 from swapnas.metric import RegularisationParams
-from swapnas.network import gaussian_batch, write_tensor_file
-from swapnas.scoring import derive_seed, make_batch, parse_batch_spec, score_cell, score_cells
+from swapnas.network import build_network, forward_capture, gaussian_batch, write_tensor_file
+from swapnas.scoring import (
+    derive_seed,
+    make_batch,
+    parse_batch_spec,
+    score_and_capture,
+    score_cell,
+    score_cells,
+)
 
 CELL = CellMatrix([[0, 1, 4, 2], [0, 0, 3, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
 ASSEMBLY = AssemblyConfig(depth=1, stem_channels=4)
@@ -69,10 +85,32 @@ class TestScoreCell:
         record = score_cell(CELL, ASSEMBLY, batch, 9, None)
         assert record.reg_swap == float(record.swap)
 
+    def test_one_assembly_gives_the_wrapper_sizes_and_capture(self, monkeypatch):
+        calls = []
+        original = swapnas.cells.assemble_descriptor
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (swapnas.cells, swapnas.network):
+            monkeypatch.setattr(module, "assemble_descriptor", counted)
+        cfg = AssemblyConfig(depth=3, stem_channels=4, reductions=(1,), head=True)
+        batch = gaussian_batch(5, (3, 9, 7), seed=1)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            cell = random_cell(4, rng)
+            calls.clear()
+            record, capture = score_and_capture(cell, cfg, batch, 3, standardise=False)
+            assert len(calls) == 1
+            assert record == score_cell(cell, cfg, batch, 3, standardise=False)
+            assert record.size_mb == params_to_megabytes(count_parameters(cell, cfg))
+            assert record.flops == count_flops(cell, cfg, batch.dims)
+            expected = forward_capture(build_network(cell, cfg, 3), batch, standardise=False)
+            assert np.array_equal(capture.packed_rows, expected.packed_rows)
+
     def test_score_cells_parallel_equals_sequential(self):
         rng = np.random.default_rng(3)
-        from swapnas.cells import random_cell
-
         cells = [random_cell(4, rng) for _ in range(6)]
         batch = gaussian_batch(6, (3, 6, 6), seed=4)
         seq = score_cells(cells, ASSEMBLY, batch, 17, n_workers=1)
