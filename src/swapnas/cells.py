@@ -230,16 +230,14 @@ class AssemblyConfig:
     """How cell copies are stacked into a full network.
 
     ``reductions`` lists cell indices that are preceded by a stride-2
-    channel-doubling convolution.  ``cell_channels`` pins the operating
-    width of every cell; when unset the width simply follows the incoming
-    feature map.  The optional head is a global average pool followed by a
-    linear layer.
+    channel-doubling convolution.  Every cell runs at the width of the
+    feature map it receives.  The optional head is a global average pool
+    followed by a linear layer.
     """
 
     depth: int = 3
     stem_channels: int = 16
     reductions: tuple[int, ...] = ()
-    cell_channels: int | None = None
     head: bool = False
     head_units: int = 10
 
@@ -254,8 +252,6 @@ class AssemblyConfig:
         if reductions and not (0 <= reductions[0] and reductions[-1] < self.depth):
             raise ValueError("reduction indices must lie in [0, depth)")
         object.__setattr__(self, "reductions", reductions)
-        if self.cell_channels is not None and self.cell_channels < 1:
-            raise ValueError("cell_channels must be at least 1")
         if self.head and self.head_units < 1:
             raise ValueError("head_units must be at least 1")
 
@@ -287,35 +283,16 @@ class NodeSpec:
     scored: bool = False
 
 
-def _edge_nodes(
-    nodes: list[NodeSpec],
-    src_ids: tuple[int, ...],
-    src_channels: int,
-    width: int,
-    code: int,
-    name: str,
-) -> int:
-    """Append the node(s) realising one cell edge; return the output id."""
+def _edge_node(src_ids: tuple[int, ...], width: int, code: int, name: str) -> NodeSpec:
+    """The node realising one cell edge; every edge keeps the cell's width."""
     if code == OP_CONV3:
-        nodes.append(NodeSpec(name, "conv", src_ids, channels_out=width, kernel=3, padding=1, scored=True))
-        return len(nodes) - 1
+        return NodeSpec(name, "conv", src_ids, channels_out=width, kernel=3, padding=1, scored=True)
     if code == OP_CONV1:
-        nodes.append(NodeSpec(name, "conv", src_ids, channels_out=width, kernel=1, scored=True))
-        return len(nodes) - 1
+        return NodeSpec(name, "conv", src_ids, channels_out=width, kernel=1, scored=True)
     if code == OP_POOL3:
-        nodes.append(NodeSpec(name, "avg-pool", src_ids, channels_out=src_channels, kernel=3, padding=1))
-        out = len(nodes) - 1
-        if src_channels != width:
-            # Linear 1x1 adapter; it counts toward model size but is not scored.
-            nodes.append(NodeSpec(name + ".proj", "conv", (out,), channels_out=width, kernel=1))
-            out = len(nodes) - 1
-        return out
+        return NodeSpec(name, "avg-pool", src_ids, channels_out=width, kernel=3, padding=1)
     if code == OP_SKIP:
-        if src_channels != width:
-            nodes.append(NodeSpec(name + ".proj", "conv", src_ids, channels_out=width, kernel=1))
-        else:
-            nodes.append(NodeSpec(name, "skip", src_ids, channels_out=width))
-        return len(nodes) - 1
+        return NodeSpec(name, "skip", src_ids, channels_out=width)
     raise AssemblyError(f"unsupported op code {code} for edge {name}")
 
 
@@ -345,8 +322,6 @@ def assemble_descriptor(
             )
             width = 2 * width
             current = (len(nodes) - 1,)
-        entry_channels = width
-        cell_width = cfg.cell_channels if cfg.cell_channels is not None else width
         sources: dict[int, tuple[int, ...]] = {0: current}
         for j in range(1, n):
             ids = []
@@ -354,13 +329,12 @@ def assemble_descriptor(
                 code = int(cell.codes[i, j])
                 if code == OP_NONE:
                     continue
-                src_channels = entry_channels if i == 0 else cell_width
                 name = f"cell{k}.n{i}-n{j}.{OP_NAMES[code]}"
-                ids.append(_edge_nodes(nodes, sources[i], src_channels, cell_width, code, name))
+                nodes.append(_edge_node(sources[i], width, code, name))
+                ids.append(len(nodes) - 1)
             if ids:
                 sources[j] = tuple(ids)
         current = sources[n - 1]
-        width = cell_width
 
     if cfg.head:
         nodes.append(NodeSpec("head.pool", "global-pool", current, channels_out=width))

@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .evolution import SearchConfig, config_differences, load_checkpoint, resume_search, run_search
 from .metric import RegularisationParams
-from .scoring import BATCH_SALT, derive_seed, make_batch, score_and_capture
+from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_and_capture
 
 # Every validation error of the library, and UsageError below, is a ValueError.
 _VALIDATION_ERRORS = (FileNotFoundError, IsADirectoryError, ValueError)
@@ -55,27 +55,79 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _parse_indices(text: str) -> tuple[int, ...]:
+    return tuple(int(r) for r in text.split(",") if r.strip() != "")
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("true", "yes", "1"):
+        return True
+    if text.lower() in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_reg(text: str):
+    if text.lower() == "auto":
+        return "auto"
+    if text.lower() in ("none", "off"):
+        return None
+    raise ValueError(f"expected auto or none, got {text!r}")
+
+
+# Config-file parser of each field, keyed by field name; a key missing from
+# the file takes the dataclass default.
+_ASSEMBLY_FIELDS = {
+    "depth": int,
+    "stem_channels": int,
+    "reductions": _parse_indices,
+    "head": _parse_bool,
+    "head_units": int,
+}
+_SEARCH_FIELDS = {
+    "population": int,
+    "cycles": int,
+    "tournament": int,
+    "mutation_times": int,
+    "crossover_prob": float,
+    "reg": _parse_reg,
+    "seed": int,
+    "batch": str,
+    "nodes": int,
+    "standardise": _parse_bool,
+}
+# Explicit bell parameters; together they override ``reg``.
+_REG_FIELDS = {"mu": float, "sigma": float}
+_OUTPUT_KEYS = {
+    "out_cell": str,
+    "out_trace": str,
+    "out_summary": str,
+    "checkpoint": str,
+    "checkpoint_every": int,
+    "resume": _parse_bool,
+}
+_SEARCH_KEYS = {*_ASSEMBLY_FIELDS, *_SEARCH_FIELDS, *_REG_FIELDS, *_OUTPUT_KEYS}
+
+
 def _add_assembly_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=3, help="number of stacked cell copies")
-    p.add_argument("--stem-channels", type=int, default=16, help="channels after the stem conv")
-    p.add_argument("--reductions", default="", help="comma-separated cell indices preceded by a stride-2 reduction")
-    p.add_argument("--head", action="store_true", help="append a global-pool + linear head")
-    p.add_argument("--head-units", type=int, default=10, help="output units of the head")
+    """One flag per ``AssemblyConfig`` field, defaulting to the field's default."""
+    defaults = AssemblyConfig
+    p.add_argument("--depth", type=int, default=defaults.depth, help="number of stacked cell copies")
+    p.add_argument("--stem-channels", type=int, default=defaults.stem_channels, help="channels after the stem conv")
+    p.add_argument(
+        "--reductions", type=_parse_indices, default=defaults.reductions,
+        help="comma-separated cell indices preceded by a stride-2 reduction",
+    )
+    p.add_argument("--head", action="store_true", default=defaults.head, help="append a global-pool + linear head")
+    p.add_argument("--head-units", type=int, default=defaults.head_units, help="output units of the head")
 
 
 def _assembly_from_args(args) -> AssemblyConfig:
-    reductions = tuple(int(r) for r in args.reductions.split(",") if r.strip() != "")
-    return AssemblyConfig(
-        depth=args.depth,
-        stem_channels=args.stem_channels,
-        reductions=reductions,
-        head=args.head,
-        head_units=args.head_units,
-    )
+    return AssemblyConfig(**{name: getattr(args, name) for name in _ASSEMBLY_FIELDS})
 
 
 _SCORING_FLAGS = {
-    "--batch": dict(default="gauss:32x3x32x32", help="batch spec: gauss:SxCxWxH or a tensor file path"),
+    "--batch": dict(default=DEFAULT_BATCH, help="batch spec: gauss:SxCxWxH or a tensor file path"),
     "--seed": dict(type=int, default=0, help="global random seed"),
     "--mu": dict(type=float, default=None, help="regularisation centre (model size)"),
     "--sigma": dict(type=float, default=None, help="regularisation width"),
@@ -186,72 +238,30 @@ def _parse_config_file(path) -> dict[str, str]:
     return values
 
 
-_SEARCH_KEYS = {
-    "population", "cycles", "tournament", "mutation_times", "crossover_prob",
-    "mu", "sigma", "reg", "seed", "batch", "nodes", "depth", "stem_channels",
-    "reductions", "head", "head_units", "standardise", "out_cell", "out_trace",
-    "out_summary", "checkpoint", "checkpoint_every", "resume",
-}
+def _parse_keys(values: dict[str, str], parsers: dict) -> dict:
+    """Parse the keys of ``parsers`` that the config file sets."""
+    parsed = {}
+    for key, parse in parsers.items():
+        if key in values:
+            try:
+                parsed[key] = parse(values[key])
+            except ValueError as exc:
+                raise UsageError(f"config key {key}: {exc}") from None
+    return parsed
 
 
 def _search_config(values: dict[str, str]) -> tuple[SearchConfig, dict]:
     unknown = set(values) - _SEARCH_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def get_bool(key, default):
-        v = values.get(key)
-        if v is None:
-            return default
-        if v.lower() in ("true", "yes", "1"):
-            return True
-        if v.lower() in ("false", "no", "0"):
-            return False
-        raise UsageError(f"config key {key} must be a boolean, got {v!r}")
-
-    reg_mode = values.get("reg", "auto").lower()
-    if "mu" in values or "sigma" in values:
-        if not ("mu" in values and "sigma" in values):
+    search = _parse_keys(values, _SEARCH_FIELDS)
+    bell = _parse_keys(values, _REG_FIELDS)
+    if bell:
+        if len(bell) != len(_REG_FIELDS):
             raise UsageError("config must set mu and sigma together")
-        reg = RegularisationParams(mu=float(values["mu"]), sigma=float(values["sigma"]))
-    elif reg_mode == "auto":
-        reg = "auto"
-    elif reg_mode in ("none", "off"):
-        reg = None
-    else:
-        raise UsageError(f"config key reg must be auto or none, got {values['reg']!r}")
-
-    reductions = tuple(
-        int(r) for r in values.get("reductions", "").split(",") if r.strip() != ""
-    )
-    cfg = SearchConfig(
-        population=int(values.get("population", 16)),
-        cycles=int(values.get("cycles", 100)),
-        tournament=int(values["tournament"]) if "tournament" in values else None,
-        mutation_times=int(values.get("mutation_times", 8)),
-        crossover_prob=float(values.get("crossover_prob", 0.5)),
-        reg=reg,
-        seed=int(values.get("seed", 0)),
-        batch=values.get("batch", "gauss:32x3x32x32"),
-        nodes=int(values.get("nodes", 4)),
-        assembly=AssemblyConfig(
-            depth=int(values.get("depth", 3)),
-            stem_channels=int(values.get("stem_channels", 16)),
-            reductions=reductions,
-            head=get_bool("head", False),
-            head_units=int(values.get("head_units", 10)),
-        ),
-        standardise=get_bool("standardise", True),
-    )
-    outputs = {
-        "out_cell": values.get("out_cell"),
-        "out_trace": values.get("out_trace"),
-        "out_summary": values.get("out_summary"),
-        "checkpoint": values.get("checkpoint"),
-        "checkpoint_every": int(values.get("checkpoint_every", 1)),
-        "resume": get_bool("resume", False),
-    }
-    return cfg, outputs
+        search["reg"] = RegularisationParams(**bell)
+    assembly = AssemblyConfig(**_parse_keys(values, _ASSEMBLY_FIELDS))
+    return SearchConfig(**search, assembly=assembly), _parse_keys(values, _OUTPUT_KEYS)
 
 
 def _cmd_search(args) -> int:
@@ -260,33 +270,32 @@ def _cmd_search(args) -> int:
     def log_cycle(cycle, population, best):
         print(f"cycle {cycle}: best={_fmt(best.score)} size_mb={_fmt(best.size_mb)}")
 
-    checkpoint = outputs["checkpoint"]
-    if outputs["resume"] and checkpoint and os.path.exists(checkpoint):
+    checkpoint = outputs.get("checkpoint")
+    every = outputs.get("checkpoint_every", 1)
+    if outputs.get("resume") and checkpoint and os.path.exists(checkpoint):
         differing = config_differences(load_checkpoint(checkpoint).cfg, cfg)
         if differing:
             raise UsageError(
                 f"{args.config} differs from checkpoint {checkpoint} in: {', '.join(differing)}"
             )
-        result = resume_search(
-            checkpoint, checkpoint_every=outputs["checkpoint_every"], on_cycle=log_cycle
-        )
+        result = resume_search(checkpoint, checkpoint_every=every, on_cycle=log_cycle)
     else:
         result = run_search(
             cfg,
             checkpoint_path=checkpoint,
-            checkpoint_every=outputs["checkpoint_every"],
+            checkpoint_every=every,
             on_cycle=log_cycle,
         )
     print(f"best_score={_fmt(result.best.score)}")
     print(f"best_swap={result.best.swap}")
     print(f"best_size_mb={_fmt(result.best.size_mb)}")
     print(f"evaluations={result.evaluations}")
-    if outputs["out_cell"]:
+    if outputs.get("out_cell"):
         atomic_write_text(outputs["out_cell"], result.best.cell.encode())
-    if outputs["out_trace"]:
+    if outputs.get("out_trace"):
         rows = [{"cycle": i, "best_score": s} for i, s in enumerate(result.trace)]
         write_report_csv(outputs["out_trace"], rows)
-    if outputs["out_summary"]:
+    if outputs.get("out_summary"):
         reg = result.reg
         lines = [
             f"best_score={_fmt(result.best.score)}",

@@ -10,6 +10,7 @@ input-dimension ablation.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import tempfile
@@ -135,25 +136,25 @@ def load_accuracy_table(path) -> BenchmarkTable:
 
 
 def write_accuracy_table(path, table: BenchmarkTable) -> None:
-    lines = [",".join(TABLE_COLUMNS) + (",size_mb" if any(e.size_mb is not None for e in table.entries) else "")]
-    has_size = lines[0].endswith("size_mb")
+    header = list(TABLE_COLUMNS)
+    has_size = any(e.size_mb is not None for e in table.entries)
+    if has_size:
+        header.append("size_mb")
+    rows = []
     for e in table.entries:
-        cell_text = e.cell.encode().strip().replace("\n", ";")
-        row = f"{e.arch_id},{cell_text},{float(e.accuracy)!r}"
+        row = [e.arch_id, e.cell.encode().strip().replace("\n", ";"), float(e.accuracy)]
         if has_size:
-            row += "," + ("" if e.size_mb is None else repr(float(e.size_mb)))
-        lines.append(row)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            row.append(None if e.size_mb is None else float(e.size_mb))
+        rows.append(row)
+    _write_csv(path, header, rows)
 
 
 def write_score_records(path, records) -> None:
-    lines = [",".join(SCORE_COLUMNS)]
-    for r in records:
-        lines.append(
-            f"{r.arch_id},{r.seed},{r.batch},{r.swap},{float(r.reg_swap)!r},"
-            f"{float(r.size_mb)!r},{r.flops}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [
+        (r.arch_id, r.seed, r.batch, r.swap, float(r.reg_swap), float(r.size_mb), r.flops)
+        for r in records
+    ]
+    _write_csv(path, SCORE_COLUMNS, rows)
 
 
 def read_score_records(path) -> list[ScoreRecord]:
@@ -503,23 +504,26 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV file; fields holding a comma, quote or newline are quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_value(v) for v in row] for row in rows)
+    atomic_write_text(path, buf.getvalue())
+
+
 def write_report_csv(path, rows: list[dict]) -> None:
     """Write homogeneous report rows as CSV; None becomes an empty field."""
     if not rows:
         raise ValueError("no rows to write")
     header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        if list(row.keys()) != header:
-            raise ValueError("report rows must share one column set")
-        lines.append(",".join(_format_value(v) for v in row.values()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    if any(list(row.keys()) != header for row in rows):
+        raise ValueError("report rows must share one column set")
+    _write_csv(path, header, [row.values() for row in rows])
 
 
 def write_plot_data(path, series: dict) -> None:
     """Write (series, x, y) triples for external plotting, one row per point."""
-    lines = ["series,x,y"]
-    for name, points in series.items():
-        for x, y in points:
-            lines.append(f"{name},{_format_value(float(x))},{_format_value(float(y))}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [(name, float(x), float(y)) for name, points in series.items() for x, y in points]
+    _write_csv(path, ("series", "x", "y"), rows)

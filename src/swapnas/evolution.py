@@ -14,7 +14,7 @@ individual scores recomputable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from .cells import (
 )
 from .evaluation import atomic_write_text, estimate_mu_sigma
 from .metric import RegularisationParams
-from .scoring import BATCH_SALT, derive_seed, make_batch, score_cell
+from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_cell
 
-CHECKPOINT_MAGIC = "SWAPCKPT 1"
+CHECKPOINT_MAGIC = "SWAPCKPT 2"
 
 
 class NoEdgeError(ValueError):
@@ -120,7 +120,7 @@ class SearchConfig:
     crossover_prob: float = 0.5
     reg: RegularisationParams | str | None = "auto"
     seed: int = 0
-    batch: str = "gauss:32x3x32x32"
+    batch: str = DEFAULT_BATCH
     nodes: int = 4
     assembly: AssemblyConfig = field(default_factory=AssemblyConfig)
     standardise: bool = True
@@ -259,58 +259,15 @@ class _SearchState:
 
 
 def _config_to_dict(cfg: SearchConfig) -> dict:
-    if isinstance(cfg.reg, RegularisationParams):
-        reg = {"mu": cfg.reg.mu, "sigma": cfg.reg.sigma}
-    else:
-        reg = cfg.reg
-    asm = cfg.assembly
-    return {
-        "population": cfg.population,
-        "cycles": cfg.cycles,
-        "tournament": cfg.tournament,
-        "mutation_times": cfg.mutation_times,
-        "crossover_prob": cfg.crossover_prob,
-        "reg": reg,
-        "seed": cfg.seed,
-        "batch": cfg.batch,
-        "nodes": cfg.nodes,
-        "assembly": {
-            "depth": asm.depth,
-            "stem_channels": asm.stem_channels,
-            "reductions": list(asm.reductions),
-            "cell_channels": asm.cell_channels,
-            "head": asm.head,
-            "head_units": asm.head_units,
-        },
-        "standardise": cfg.standardise,
-    }
+    """The config as nested plain data; the dataclass fields are its keys."""
+    return asdict(cfg)
 
 
 def _config_from_dict(data: dict) -> SearchConfig:
     reg = data["reg"]
     if isinstance(reg, dict):
-        reg = RegularisationParams(mu=reg["mu"], sigma=reg["sigma"])
-    asm = data["assembly"]
-    return SearchConfig(
-        population=data["population"],
-        cycles=data["cycles"],
-        tournament=data["tournament"],
-        mutation_times=data["mutation_times"],
-        crossover_prob=data["crossover_prob"],
-        reg=reg,
-        seed=data["seed"],
-        batch=data["batch"],
-        nodes=data["nodes"],
-        assembly=AssemblyConfig(
-            depth=asm["depth"],
-            stem_channels=asm["stem_channels"],
-            reductions=tuple(asm["reductions"]),
-            cell_channels=asm["cell_channels"],
-            head=asm["head"],
-            head_units=asm["head_units"],
-        ),
-        standardise=data["standardise"],
-    )
+        reg = RegularisationParams(**reg)
+    return SearchConfig(**{**data, "reg": reg, "assembly": AssemblyConfig(**data["assembly"])})
 
 
 def config_differences(a: SearchConfig, b: SearchConfig) -> list[str]:
@@ -333,16 +290,9 @@ def save_checkpoint(path, state: _SearchState) -> None:
         "evaluations": state.evaluations,
         "next_birth": state.next_birth,
         "trace": state.trace,
-        "reg": None if state.reg is None else {"mu": state.reg.mu, "sigma": state.reg.sigma},
+        "reg": None if state.reg is None else asdict(state.reg),
         "population": [
-            {
-                "cell": ind.cell.encode().strip().replace("\n", ";"),
-                "score": ind.score,
-                "swap": ind.swap,
-                "size_mb": ind.size_mb,
-                "seed": ind.seed,
-                "birth": ind.birth,
-            }
+            {**vars(ind), "cell": ind.cell.encode().strip().replace("\n", ";")}
             for ind in state.population
         ],
         "rng_state": state.rng.bit_generator.state,
@@ -362,27 +312,25 @@ def load_checkpoint(path) -> _SearchState:
     state.next_birth = body["next_birth"]
     state.trace = list(body["trace"])
     reg = body["reg"]
-    state.reg = None if reg is None else RegularisationParams(mu=reg["mu"], sigma=reg["sigma"])
+    state.reg = None if reg is None else RegularisationParams(**reg)
     state.population = [
-        Individual(
-            cell=CellMatrix.decode(item["cell"]),
-            score=item["score"],
-            swap=item["swap"],
-            size_mb=item["size_mb"],
-            seed=item["seed"],
-            birth=item["birth"],
-        )
+        Individual(**{**item, "cell": CellMatrix.decode(item["cell"])})
         for item in body["population"]
     ]
     state.rng.bit_generator.state = body["rng_state"]
     return state
 
 
+def _check_every(checkpoint_every: int) -> None:
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
+
+
 def _drive(state: _SearchState, checkpoint_path, checkpoint_every, on_cycle) -> SearchResult:
     while state.cycle < state.cfg.cycles:
         state.run_cycle()
         if checkpoint_path and (
-            state.cycle % max(checkpoint_every, 1) == 0 or state.cycle == state.cfg.cycles
+            state.cycle % checkpoint_every == 0 or state.cycle == state.cfg.cycles
         ):
             save_checkpoint(checkpoint_path, state)
         if on_cycle is not None:
@@ -398,6 +346,7 @@ def run_search(
     on_cycle=None,
 ) -> SearchResult:
     """Run the full search loop; identical config and seed give identical results."""
+    _check_every(checkpoint_every)
     state = _SearchState(cfg)
     state.initialise()
     if checkpoint_path:
@@ -417,5 +366,6 @@ def resume_search(
     uninterrupted run because the generator state travels with the
     checkpoint.
     """
+    _check_every(checkpoint_every)
     state = load_checkpoint(checkpoint_path)
     return _drive(state, checkpoint_path, checkpoint_every, on_cycle)

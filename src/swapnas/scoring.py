@@ -26,6 +26,8 @@ _GAUSS_RE = re.compile(r"^gauss:(\d+)x(\d+)x(\d+)x(\d+)$")
 _SEED_MASK = (1 << 64) - 1
 # Salt of the batch seed, so a run's batch and its weights draw from different streams.
 BATCH_SALT = 0x5A3C6F1D
+# CIFAR-shaped batch used when a run names none.
+DEFAULT_BATCH = "gauss:32x3x32x32"
 
 
 def derive_seed(global_seed: int, salt: int) -> int:

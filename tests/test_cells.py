@@ -191,14 +191,6 @@ class TestAssembly:
         reduce_idx = next(i for i, n in enumerate(nodes) if n.name == "reduce1")
         assert shapes[reduce_idx] == (16, 8, 8)
 
-    def test_projection_inserted_on_width_mismatch(self):
-        cfg = AssemblyConfig(depth=1, stem_channels=8, cell_channels=16)
-        nodes = assemble_descriptor(ALL_SKIP_CHAIN, cfg)
-        projections = [n for n in nodes if n.name.endswith(".proj")]
-        # Only the cell-entry skip needs an adapter; the rest run at 16 channels.
-        assert len(projections) == 1
-        assert projections[0].kind == "conv" and not projections[0].scored
-
     def test_invalid_cell_rejected_at_assembly(self):
         bad = CellMatrix([[0, 0], [0, 0]])
         with pytest.raises(CellValidationError):

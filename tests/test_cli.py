@@ -1,15 +1,18 @@
 """End-to-end tests of the command-line surface."""
 
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swapnas.cells import AssemblyConfig, CellMatrix, write_cell_file
+from swapnas import cli
 from swapnas.cli import main
 from swapnas.evaluation import load_accuracy_table, read_score_records
 from swapnas.evolution import SearchConfig, run_search
+from swapnas.metric import RegularisationParams
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,6 +154,28 @@ class TestSearchCommand:
         assert code == 1
         assert "populaton" in err
 
+    @pytest.mark.parametrize(
+        "key, extra",
+        [
+            ("population", {"population": "many"}),
+            ("mu", {"mu": "x", "sigma": "1"}),
+            ("sigma", {"mu": "1", "sigma": "x"}),
+            ("head", {"head": "maybe"}),
+            ("reg", {"reg": "sometimes"}),
+        ],
+    )
+    def test_bad_config_value_names_its_key(self, capsys, tmp_path, key, extra):
+        code, _, err = run(capsys, "search", "--config", self.write_config(tmp_path, **extra))
+        assert code == 1
+        assert f"config key {key}: " in err
+
+    def test_checkpoint_every_below_one_rejected(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, checkpoint_every=-3)
+        code, out, err = run(capsys, "search", "--config", cfg)
+        assert code == 1
+        assert "checkpoint_every" in err
+        assert out == ""
+
     def test_resume_from_checkpoint(self, capsys, tmp_path):
         ckpt = tmp_path / "search.ckpt"
         cell_out = tmp_path / "best.cell"
@@ -205,6 +230,29 @@ class TestSearchCommand:
         capsys.readouterr()
         assert "cycles=4\n" in resumed.read_text()
         assert resumed.read_bytes() == full.read_bytes()
+
+
+# Config-file keys that name run outputs rather than SearchConfig fields.
+OUTPUT_KEYS = {"out_cell", "out_trace", "out_summary", "checkpoint", "checkpoint_every", "resume"}
+
+
+class TestConfigSingleSource:
+    def test_config_keys_are_the_dataclass_fields(self):
+        search = {f.name for f in fields(SearchConfig)} - {"assembly"}
+        assembly = {f.name for f in fields(AssemblyConfig)}
+        bell = {f.name for f in fields(RegularisationParams)}
+        assert cli._SEARCH_KEYS - OUTPUT_KEYS == search | assembly | bell
+
+    def test_empty_config_file_gives_default_config(self, tmp_path):
+        path = tmp_path / "empty.cfg"
+        path.write_text("# nothing set\n")
+        cfg, _ = cli._search_config(cli._parse_config_file(path))
+        assert cfg == SearchConfig()
+
+    def test_flagless_score_gives_default_assembly(self):
+        args = cli.build_parser().parse_args(["score", "--cell", "c.cell"])
+        assert cli._assembly_from_args(args) == AssemblyConfig()
+        assert args.batch == SearchConfig().batch
 
 
 class TestCorrelate:

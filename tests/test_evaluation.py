@@ -1,5 +1,6 @@
 """Tests for table ingestion, rank correlation, sweeps and histograms."""
 
+import csv
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from swapnas.evaluation import (
     size_histogram,
     spearman_rho,
     write_accuracy_table,
+    write_plot_data,
+    write_report_csv,
     write_score_records,
 )
 from swapnas.metric import ScoreRecord
@@ -129,6 +132,20 @@ class TestScoreRecordsIO:
         path = tmp_path / "scores.csv"
         write_score_records(path, records)
         assert read_score_records(path) == records
+
+    def test_fields_with_commas_and_quotes_round_trip(self, tmp_path):
+        awkward = 'a,"b'
+        records = [record(awkward, 10, 0.5), record("c", 20, 1.5, seed=1)]
+        path = tmp_path / "scores.csv"
+        write_score_records(path, records)
+        assert read_score_records(path) == records
+        table = BenchmarkTable((BenchmarkEntry(awkward, CELL_A, 0.75, None),))
+        write_accuracy_table(path, table)
+        assert load_accuracy_table(path) == table
+        write_report_csv(path, [{"id": awkward, "rho": 0.5}])
+        assert list(csv.reader(path.open())) == [["id", "rho"], [awkward, "0.5"]]
+        write_plot_data(path, {awkward: [(1, 2.5)]})
+        assert list(csv.reader(path.open())) == [["series", "x", "y"], [awkward, "1.0", "2.5"]]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"

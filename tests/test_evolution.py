@@ -1,9 +1,12 @@
 """Tests for the mutation operators, crossover and the search loop."""
 
+import json
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, validate_cell
 from swapnas.evolution import (
@@ -11,6 +14,8 @@ from swapnas.evolution import (
     NoEdgeError,
     SaturationError,
     SearchConfig,
+    _config_from_dict,
+    _config_to_dict,
     batch_for_config,
     crossover,
     mutate_connectivity,
@@ -239,3 +244,57 @@ class TestCheckpointing:
         path.write_text("NOT A CHECKPOINT\n{}")
         with pytest.raises(ValueError, match="SWAPCKPT"):
             resume_search(path)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_checkpoint_every_below_one_rejected(self, tmp_path, every):
+        path = tmp_path / "s.ckpt"
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            run_search(small_config(cycles=1), checkpoint_path=path, checkpoint_every=every)
+        assert not path.exists()
+        run_search(small_config(cycles=1), checkpoint_path=path)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            resume_search(path, checkpoint_every=every)
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def assemblies(draw):
+    depth = draw(st.integers(1, 6))
+    reductions = draw(st.lists(st.integers(0, depth - 1), unique=True).map(sorted))
+    return AssemblyConfig(
+        depth=depth,
+        stem_channels=draw(st.integers(1, 64)),
+        reductions=tuple(reductions),
+        head=draw(st.booleans()),
+        head_units=draw(st.integers(1, 100)),
+    )
+
+
+@st.composite
+def search_configs(draw):
+    population = draw(st.integers(2, 40))
+    return SearchConfig(
+        population=population,
+        cycles=draw(st.integers(0, 500)),
+        tournament=draw(st.none() | st.integers(1, population)),
+        mutation_times=draw(st.integers(1, 20)),
+        crossover_prob=draw(st.floats(0.0, 1.0)),
+        reg=draw(
+            st.just("auto")
+            | st.none()
+            | st.builds(RegularisationParams, mu=positive, sigma=positive)
+        ),
+        seed=draw(st.integers(0, 2**63)),
+        batch=draw(st.sampled_from([SMALL_BATCH, "gauss:32x3x32x32", "batch.tensor"])),
+        nodes=draw(st.integers(2, 8)),
+        assembly=draw(assemblies()),
+        standardise=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_configs())
+def test_config_round_trips_through_checkpoint_json(cfg):
+    assert _config_from_dict(json.loads(json.dumps(_config_to_dict(cfg)))) == cfg

@@ -142,8 +142,8 @@ class TestIntermediateValueCount:
         assert cap.n_values == 4 * 81 + 3 * 4 * 81 + 8 * 25 + 3 * 8 * 25
         assert cap.n_samples == 6
 
-    def test_head_and_projections_are_not_counted(self):
-        cfg = AssemblyConfig(depth=1, stem_channels=8, cell_channels=16, head=True)
+    def test_head_is_not_counted(self):
+        cfg = AssemblyConfig(depth=1, stem_channels=8, head=True)
         net = build_network(ALL_SKIP, cfg, seed=0)
         batch = gaussian_batch(3, (3, 6, 6), seed=0)
         # stem is the only scored layer: 8 channels * 6 * 6
