@@ -31,9 +31,6 @@ OP_NAMES = {
     OP_SKIP: "skip",
 }
 
-CELL_FORMAT_VERSION = 1
-
-
 class CellValidationError(ValueError):
     """A cell matrix violates the search-space invariants."""
 
@@ -196,14 +193,14 @@ def assert_valid_cell(cell: CellMatrix) -> None:
         raise CellValidationError(violations)
 
 
-def random_cell(n_nodes: int, rng, edge_prob: float = 0.5) -> CellMatrix:
+def random_cell(n_nodes: int, rng) -> CellMatrix:
     """Draw a valid random cell.
 
-    Each upper-triangular slot carries an edge with probability
-    ``edge_prob``, with the op code chosen uniformly.  A connectivity
-    repair pass then gives every non-source node at least one incoming and
-    every non-sink node at least one outgoing edge, so the source reaches
-    the sink through every remaining node.
+    Each upper-triangular slot carries an edge with probability one half,
+    with the op code chosen uniformly.  A connectivity repair pass then
+    gives every non-source node at least one incoming and every non-sink
+    node at least one outgoing edge, so the source reaches the sink through
+    every remaining node.
     """
     if n_nodes < 2:
         raise ValueError("a cell needs at least two nodes")
@@ -212,7 +209,7 @@ def random_cell(n_nodes: int, rng, edge_prob: float = 0.5) -> CellMatrix:
         codes = np.zeros((n_nodes, n_nodes), dtype=np.int64)
         for i in range(n_nodes):
             for j in range(i + 1, n_nodes):
-                if rng.random() < edge_prob:
+                if rng.random() < 0.5:
                     codes[i, j] = rng.integers(1, 5)
         for j in range(1, n_nodes):
             if not codes[:j, j].any():

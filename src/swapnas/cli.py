@@ -286,35 +286,32 @@ def _cmd_search(args) -> int:
             checkpoint_every=every,
             on_cycle=log_cycle,
         )
-    print(f"best_score={_fmt(result.best.score)}")
-    print(f"best_swap={result.best.swap}")
-    print(f"best_size_mb={_fmt(result.best.size_mb)}")
-    print(f"evaluations={result.evaluations}")
+    reg = result.reg
+    summary = {
+        "best_score": _fmt(result.best.score),
+        "best_swap": result.best.swap,
+        "best_size_mb": _fmt(result.best.size_mb),
+        "best_seed": result.best.seed,
+        "evaluations": result.evaluations,
+        "cycles": len(result.trace) - 1,
+        "mu": _fmt(None if reg is None else reg.mu),
+        "sigma": _fmt(None if reg is None else reg.sigma),
+    }
+    for key in ("best_score", "best_swap", "best_size_mb", "evaluations"):
+        print(f"{key}={summary[key]}")
     if outputs.get("out_cell"):
         atomic_write_text(outputs["out_cell"], result.best.cell.encode())
     if outputs.get("out_trace"):
         rows = [{"cycle": i, "best_score": s} for i, s in enumerate(result.trace)]
         write_report_csv(outputs["out_trace"], rows)
     if outputs.get("out_summary"):
-        reg = result.reg
-        lines = [
-            f"best_score={_fmt(result.best.score)}",
-            f"best_swap={result.best.swap}",
-            f"best_size_mb={_fmt(result.best.size_mb)}",
-            f"best_seed={result.best.seed}",
-            f"evaluations={result.evaluations}",
-            f"cycles={len(result.trace) - 1}",
-            f"mu={_fmt(None if reg is None else reg.mu)}",
-            f"sigma={_fmt(None if reg is None else reg.sigma)}",
-        ]
-        atomic_write_text(outputs["out_summary"], "\n".join(lines) + "\n")
+        atomic_write_text(outputs["out_summary"], "".join(f"{k}={v}\n" for k, v in summary.items()))
     return 0
 
 
-def _records_for(args, reg) -> list:
+def _records_for(args, table, reg) -> list:
     if args.scores:
         return read_score_records(args.scores)
-    table = load_accuracy_table(args.truth)
     records = score_table(
         table,
         _assembly_from_args(args),
@@ -331,7 +328,7 @@ def _records_for(args, reg) -> list:
 
 def _cmd_correlate(args) -> int:
     table = load_accuracy_table(args.truth)
-    records = _records_for(args, _reg_from_args(args) or "auto")
+    records = _records_for(args, table, _reg_from_args(args) or "auto")
     report = correlation_report(records, table)
     for metric in ("swap", "reg_swap"):
         print(f"{metric}_rho={_fmt(report.mean[metric])}")
@@ -372,7 +369,7 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
 def _cmd_sweep(args) -> int:
     table = load_accuracy_table(args.truth)
     # The sweep rescales raw scores itself, so the records' own bell is never read.
-    records = _records_for(args, "auto")
+    records = _records_for(args, table, "auto")
     points = mu_sigma_sweep(records, table, _parse_grid(args.grid))
     rows = []
     for pt in points:

@@ -351,7 +351,6 @@ def score_table(
     n_seeds: int = 5,
     reg: RegularisationParams | str | None = "auto",
     standardise: bool = True,
-    in_channels: int = 3,
     n_workers: int = 1,
 ) -> list[ScoreRecord]:
     """Score a table's architectures under the multi-seed protocol.
@@ -359,26 +358,25 @@ def score_table(
     The entries are split into ``n_seeds`` disjoint strided groups; group k
     is scored with seed k (fresh batch, fresh weights).  ``reg="auto"``
     estimates the bell parameters once from the whole table's sizes,
-    preferring the reported sizes over recomputed ones.
+    preferring the reported sizes over ones recomputed for the batch's
+    channel count.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    if reg == "auto":
-        sizes = []
-        for e in table.entries:
-            if e.size_mb is not None:
-                sizes.append(e.size_mb)
-            else:
-                sizes.append(
-                    params_to_megabytes(count_parameters(e.cell, assembly, in_channels))
-                )
-        reg = estimate_mu_sigma(sizes)
     records: list[ScoreRecord] = []
     for seed in range(n_seeds):
         group = table.entries[seed::n_seeds]
         if not group:
             continue
         batch = make_batch(batch_spec, derive_seed(seed, BATCH_SALT))
+        if reg == "auto":
+            # Sizes depend on the batch's channel count; this runs once, as reg is then set.
+            reg = estimate_mu_sigma(
+                e.size_mb
+                if e.size_mb is not None
+                else params_to_megabytes(count_parameters(e.cell, assembly, batch.channels))
+                for e in table.entries
+            )
         scored = score_cells(
             [e.cell for e in group],
             assembly,

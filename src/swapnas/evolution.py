@@ -211,7 +211,6 @@ class _SearchState:
             derive_seed(self.cfg.seed, cell.stable_hash()),
             self.reg,
             standardise=self.cfg.standardise,
-            batch_label=self.cfg.batch,
         )
         self.evaluations += 1
         birth = self.next_birth
@@ -258,11 +257,6 @@ class _SearchState:
         return SearchResult(self.best(), tuple(self.trace), self.evaluations, self.reg)
 
 
-def _config_to_dict(cfg: SearchConfig) -> dict:
-    """The config as nested plain data; the dataclass fields are its keys."""
-    return asdict(cfg)
-
-
 def _config_from_dict(data: dict) -> SearchConfig:
     reg = data["reg"]
     if isinstance(reg, dict):
@@ -274,7 +268,7 @@ def config_differences(a: SearchConfig, b: SearchConfig) -> list[str]:
     """Config keys, with the assembly's keys flattened, on which two configs differ."""
 
     def flat(cfg: SearchConfig) -> dict:
-        data = _config_to_dict(cfg)
+        data = asdict(cfg)
         assembly = data.pop("assembly")
         return {**data, **assembly}
 
@@ -285,7 +279,7 @@ def config_differences(a: SearchConfig, b: SearchConfig) -> list[str]:
 def save_checkpoint(path, state: _SearchState) -> None:
     """Versioned structured-text snapshot enabling an exact resume."""
     body = {
-        "config": _config_to_dict(state.cfg),
+        "config": asdict(state.cfg),
         "cycle": state.cycle,
         "evaluations": state.evaluations,
         "next_birth": state.next_birth,

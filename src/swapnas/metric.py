@@ -92,27 +92,18 @@ class ActivationCapture:
 
     def bits(self) -> np.ndarray:
         """Unpack to a dense (values x samples) uint8 matrix of 0/1."""
-        if self.n_values == 0:
-            return np.zeros((0, self.n_samples), dtype=np.uint8)
         return np.unpackbits(self.packed_rows, axis=1, count=self.n_samples)
 
     def transpose(self) -> "ActivationCapture":
         """Swap the value/sample axes, turning columns into rows."""
         if self.n_values == 0:
             raise ContractViolationError("cannot transpose an empty capture")
-        return ActivationCapture.from_bits(self.bits().T)
+        return ActivationCapture(pack_bit_rows(self.bits().T), self.n_values)
 
 
 def _distinct_row_count(packed: np.ndarray) -> int:
-    n, width = packed.shape
-    if n == 0:
-        return 0
-    if width <= 8:
-        # One machine word per pattern: dedup on a flat uint64 view.
-        padded = np.zeros((n, 8), dtype=np.uint8)
-        padded[:, :width] = packed
-        return int(np.unique(padded.view(np.uint64).ravel()).size)
-    return int(np.unique(packed, axis=0).shape[0])
+    # One opaque item per row; the pad bits are zero, so equal bytes mean equal bits.
+    return int(np.unique(packed.view(np.dtype((np.void, packed.shape[1])))).size)
 
 
 def standard_pattern_cardinality(capture: ActivationCapture) -> int:
@@ -123,7 +114,7 @@ def standard_pattern_cardinality(capture: ActivationCapture) -> int:
     """
     if capture.n_values == 0:
         raise ContractViolationError("empty capture")
-    return _distinct_row_count(pack_bit_rows(capture.bits().T))
+    return _distinct_row_count(capture.transpose().packed_rows)
 
 
 def swap_score(capture: ActivationCapture) -> int:

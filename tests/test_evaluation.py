@@ -29,7 +29,7 @@ from swapnas.evaluation import (
     write_report_csv,
     write_score_records,
 )
-from swapnas.metric import ScoreRecord
+from swapnas.metric import ScoreRecord, regularised_swap_score
 
 CELL_A = CellMatrix([[0, 1, 4, 2], [0, 0, 3, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
 CELL_B = CellMatrix([[0, 4, 0, 1], [0, 0, 1, 0], [0, 0, 0, 2], [0, 0, 0, 0]])
@@ -342,6 +342,20 @@ class TestScoreTable:
             by_seed.setdefault(r.seed, set()).add(r.arch_id)
         assert set(by_seed) == {0, 1, 2}
         assert all(len(group) == 3 for group in by_seed.values())
+
+    def test_auto_bell_uses_the_batch_channel_count(self):
+        # One-channel batch: the bell must come from the one-channel sizes the records carry.
+        entries = tuple(BenchmarkEntry(f"a{i}", random_cell(4, i), 0.5) for i in range(6))
+        records = score_table(
+            BenchmarkTable(entries),
+            AssemblyConfig(depth=1, stem_channels=4),
+            "gauss:4x1x6x6",
+            n_seeds=2,
+            reg="auto",
+        )
+        bell = estimate_mu_sigma([r.size_mb for r in records])
+        for r in records:
+            assert r.reg_swap == regularised_swap_score(r.swap, r.size_mb, bell)
 
     def test_workers_do_not_change_records(self):
         entries = tuple(

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from swapnas.evolution import (
     SaturationError,
     SearchConfig,
     _config_from_dict,
-    _config_to_dict,
     batch_for_config,
     crossover,
     mutate_connectivity,
@@ -297,4 +297,4 @@ def search_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(search_configs())
 def test_config_round_trips_through_checkpoint_json(cfg):
-    assert _config_from_dict(json.loads(json.dumps(_config_to_dict(cfg)))) == cfg
+    assert _config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swapnas.metric import (
     ActivationCapture,
@@ -193,6 +196,66 @@ class TestCardinalityProperties:
             bits = (rng.random((15, 7)) < 0.5).astype(np.uint8)
             cap = ActivationCapture.from_bits(bits)
             assert swap_score(cap) == standard_pattern_cardinality(cap.transpose())
+
+
+@st.composite
+def bit_matrices(draw):
+    """0/1 matrices with repeated rows and columns.
+
+    S is drawn both as a multiple of 8 and not, and V and S both reach past
+    64, so packed rows come narrower and wider than one 8-byte word.
+    """
+    s = draw(st.one_of(st.sampled_from([8, 16, 64, 72, 80]), st.integers(1, 90)))
+    v = draw(st.integers(1, 90))
+    n_rows = draw(st.integers(1, v))
+    n_cols = draw(st.integers(1, s))
+    base = draw(arrays(np.uint8, (n_rows, n_cols), elements=st.integers(0, 1)))
+    rows = draw(arrays(np.intp, v, elements=st.integers(0, n_rows - 1)))
+    cols = draw(arrays(np.intp, s, elements=st.integers(0, n_cols - 1)))
+    return base[np.ix_(rows, cols)]
+
+
+def counts(bits: np.ndarray) -> tuple[int, int]:
+    cap = ActivationCapture.from_bits(bits)
+    return swap_score(cap), standard_pattern_cardinality(cap)
+
+
+class TestCounterProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(bit_matrices())
+    def test_counts_match_naive_oracle(self, bits):
+        assert counts(bits) == (naive_row_count(bits), naive_col_count(bits))
+
+    @settings(max_examples=100, deadline=None)
+    @given(bit_matrices())
+    def test_bounds(self, bits):
+        v, s = bits.shape
+        swap, per_sample = counts(bits)
+        assert 1 <= swap <= min(v, 2**s)
+        assert 1 <= per_sample <= min(s, 2**v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bit_matrices())
+    def test_transpose_duality(self, bits):
+        cap = ActivationCapture.from_bits(bits)
+        flipped = cap.transpose()
+        assert np.array_equal(flipped.bits(), bits.T)
+        assert swap_score(cap) == standard_pattern_cardinality(flipped)
+        assert standard_pattern_cardinality(cap) == swap_score(flipped)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bit_matrices(), st.randoms(use_true_random=False))
+    def test_permuting_rows_and_samples_keeps_counts(self, bits, rnd):
+        rows = rnd.sample(range(bits.shape[0]), bits.shape[0])
+        cols = rnd.sample(range(bits.shape[1]), bits.shape[1])
+        assert counts(bits[np.ix_(rows, cols)]) == counts(bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bit_matrices(), st.data())
+    def test_duplicating_a_sample_keeps_counts(self, bits, data):
+        col = data.draw(st.integers(0, bits.shape[1] - 1))
+        grown = np.concatenate([bits, bits[:, col : col + 1]], axis=1)
+        assert counts(grown) == counts(bits)
 
 
 class TestRegularisation:
