@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swapnas.cells import AssemblyConfig, CellMatrix, write_cell_file
+from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, write_cell_file
 from swapnas import cli
 from swapnas.cli import main
 from swapnas.evaluation import load_accuracy_table, read_score_records
@@ -442,3 +442,80 @@ class TestOutputGoldens:
         assert code == 0, err
         assert out == (GOLDEN / f"{name}.stdout").read_text()
         assert out_csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def write_table(path, sizes=None):
+    """Six-architecture accuracy table; ``sizes`` adds a size_mb column ('' leaves one blank)."""
+    rows = ["arch_id,cell,accuracy" + ("" if sizes is None else ",size_mb")]
+    for i in range(6):
+        cell = random_cell(4, i).encode().strip().replace("\n", ";")
+        row = f"t{i},{cell},{0.1 + 0.13 * ((5 * i) % 6)}"
+        rows.append(row if sizes is None else f"{row},{sizes[i]}")
+    Path(path).write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+# Reported sizes of the sized table; the blank one falls back to the scored size.
+TABLE_SIZES = ("0.0012", "0.0031", "", "0.0025", "0.0018", "0.0007")
+TABLE_FLAGS = ("--seeds", "2", "--batch", "gauss:8x3x6x6", "--depth", "1", "--stem-channels", "4")
+BELL_FLAGS = ("--mu", "0.0015", "--sigma", "0.000002")
+
+# Fixed-seed correlate runs: stdout, --out and --save-scores pinned as
+# tests/golden/<name>.stdout, <name>.csv and <name>.scores.csv.
+CORRELATE_CASES = {
+    "correlate_plain": (None, ()),
+    "correlate_bell": (None, BELL_FLAGS),
+    "correlate_sized": (TABLE_SIZES, ()),
+    "correlate_sized_bell": (TABLE_SIZES, BELL_FLAGS),
+}
+
+# Fixed-seed search runs: stdout, out_cell, out_trace and out_summary pinned as
+# tests/golden/<name>.stdout, <name>.cell, <name>.trace.csv and <name>.summary.txt.
+SEARCH_CASES = {
+    "search_auto": {"reg": "auto"},
+    "search_bell": {"mu": "0.0015", "sigma": "0.000002"},
+}
+SEARCH_BASE = {
+    "population": "6", "cycles": "5", "mutation_times": "3", "seed": "5",
+    "batch": "gauss:8x3x6x6", "nodes": "4", "depth": "1", "stem_channels": "4",
+}
+SEARCH_FILES = {"out_cell": "cell", "out_trace": "trace.csv", "out_summary": "summary.txt"}
+
+
+class TestCommandGoldens:
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_search_outputs_match_golden(self, capsys, tmp_path, name):
+        files = {key: tmp_path / f"{name}.{suffix}" for key, suffix in SEARCH_FILES.items()}
+        keys = {**SEARCH_BASE, **SEARCH_CASES[name], **{k: str(p) for k, p in files.items()}}
+        cfg = tmp_path / "search.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code, out, err = run(capsys, "search", "--config", str(cfg))
+        assert code == 0, err
+        assert out == (GOLDEN / f"{name}.stdout").read_text()
+        for path in files.values():
+            assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(CORRELATE_CASES))
+    def test_correlate_outputs_match_golden(self, capsys, tmp_path, name):
+        sizes, flags = CORRELATE_CASES[name]
+        truth = write_table(tmp_path / "truth.csv", sizes)
+        out_csv, scores = tmp_path / "out.csv", tmp_path / "scores.csv"
+        code, out, err = run(
+            capsys, "correlate", "--truth", truth, *TABLE_FLAGS, *flags,
+            "--out", str(out_csv), "--save-scores", str(scores),
+        )
+        assert code == 0, err
+        assert out == (GOLDEN / f"{name}.stdout").read_text()
+        assert out_csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        assert scores.read_bytes() == (GOLDEN / f"{name}.scores.csv").read_bytes()
+
+    def test_sweep_outputs_match_golden(self, capsys, tmp_path):
+        truth = write_table(tmp_path / "truth.csv")
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, "sweep", "--truth", truth, *TABLE_FLAGS,
+            "--grid", "0.001:0.000001,0.0015:0.000002,0.01:1", "--out", str(out_csv),
+        )
+        assert code == 0, err
+        assert out == (GOLDEN / "sweep.stdout").read_text()
+        assert out_csv.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
