@@ -368,8 +368,7 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
 
 def _cmd_sweep(args) -> int:
     table = load_accuracy_table(args.truth)
-    # The sweep rescales raw scores itself, so the records' own bell is never read.
-    records = _records_for(args, table, "auto")
+    records = _records_for(args, table, None)
     points = mu_sigma_sweep(records, table, _parse_grid(args.grid))
     rows = []
     for pt in points:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cells import AssemblyConfig, CellMatrix, count_parameters, params_to_megabytes
+from .cells import AssemblyConfig, CellMatrix
 from .metric import (
     RegularisationParams,
     ScoreRecord,
@@ -356,41 +356,33 @@ def score_table(
     """Score a table's architectures under the multi-seed protocol.
 
     The entries are split into ``n_seeds`` disjoint strided groups; group k
-    is scored with seed k (fresh batch, fresh weights).  ``reg="auto"``
-    estimates the bell parameters once from the whole table's sizes,
-    preferring the reported sizes over ones recomputed for the batch's
-    channel count.
+    is scored with seed k (fresh batch, fresh weights).  The groups are
+    scored raw; ``reg="auto"`` then estimates the bell parameters once
+    from the whole table's sizes, taking each entry's reported size and
+    else the size its record was scored with.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    records: list[ScoreRecord] = []
+    scored: list[tuple[BenchmarkEntry, ScoreRecord]] = []
     for seed in range(n_seeds):
         group = table.entries[seed::n_seeds]
         if not group:
             continue
-        batch = make_batch(batch_spec, derive_seed(seed, BATCH_SALT))
-        if reg == "auto":
-            # Sizes depend on the batch's channel count; this runs once, as reg is then set.
-            reg = estimate_mu_sigma(
-                e.size_mb
-                if e.size_mb is not None
-                else params_to_megabytes(count_parameters(e.cell, assembly, batch.channels))
-                for e in table.entries
-            )
-        scored = score_cells(
+        records = score_cells(
             [e.cell for e in group],
             assembly,
-            batch,
+            make_batch(batch_spec, derive_seed(seed, BATCH_SALT)),
             seed,
-            reg,
             standardise=standardise,
             arch_ids=[e.arch_id for e in group],
             batch_label=batch_spec,
             n_workers=n_workers,
         )
         # score_cells stamps the derived weight seed; reports group by protocol seed
-        records.extend(replace(r, seed=seed) for r in scored)
-    return records
+        scored.extend((e, replace(r, seed=seed)) for e, r in zip(group, records))
+    if reg == "auto" and scored:
+        reg = estimate_mu_sigma(r.size_mb if e.size_mb is None else e.size_mb for e, r in scored)
+    return [r.regularised(reg) for _, r in scored]
 
 
 @dataclass(frozen=True)
@@ -444,7 +436,8 @@ def input_dim_ablation(
     reports mean and standard deviation of the standard cardinality, the
     sample-wise score and its regularised variant, plus rank correlations
     against ``accuracies`` when given (None where undefined, e.g. under
-    full saturation).
+    full saturation).  ``reg="auto"`` estimates one bell for every row
+    from the sizes the cells score with in the first ``dims_list`` entry.
     """
     cells = list(cells)
     if not cells:
@@ -456,24 +449,22 @@ def input_dim_ablation(
         accuracies = [float(a) for a in accuracies]
         if len(accuracies) != len(cells):
             raise ValueError("need exactly one accuracy per cell")
-    if reg == "auto":
-        reg = estimate_mu_sigma(
-            [params_to_megabytes(count_parameters(c, assembly, dims_list[0][0])) for c in cells]
-        )
     rows: list[AblationRow] = []
     for di, dims in enumerate(dims_list):
         batch = gaussian_batch(batch_size, dims, derive_seed(seed, BATCH_SALT + di))
+        records: list[ScoreRecord] = []
         standard_vals: list[float] = []
-        swap_vals: list[float] = []
-        reg_vals: list[float] = []
         for cell in cells:
             record, capture = score_and_capture(
-                cell, assembly, batch, derive_seed(seed, cell.stable_hash()), reg,
+                cell, assembly, batch, derive_seed(seed, cell.stable_hash()),
                 standardise=standardise,
             )
+            records.append(record)
             standard_vals.append(float(standard_pattern_cardinality(capture)))
-            swap_vals.append(float(record.swap))
-            reg_vals.append(record.reg_swap)
+        if reg == "auto":
+            reg = estimate_mu_sigma([r.size_mb for r in records])
+        swap_vals = [float(r.swap) for r in records]
+        reg_vals = [r.regularised(reg).reg_swap for r in records]
         row = AblationRow(
             dims=dims,
             standard_mean=float(np.mean(standard_vals)),

@@ -18,16 +18,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cells import (
-    AssemblyConfig,
-    CellMatrix,
-    count_parameters,
-    params_to_megabytes,
-    random_cell,
-    validate_cell,
-)
+from .cells import AssemblyConfig, CellMatrix, random_cell, validate_cell
 from .evaluation import atomic_write_text, estimate_mu_sigma
-from .metric import RegularisationParams
+from .metric import RegularisationParams, ScoreRecord
 from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_cell
 
 CHECKPOINT_MAGIC = "SWAPCKPT 2"
@@ -109,8 +102,9 @@ class SearchConfig:
     """Evolution hyperparameters plus the scoring context shared by all candidates.
 
     ``tournament`` defaults to half the population (rounded up).  ``reg``
-    accepts explicit parameters, "auto" (estimated from the sizes of the
-    initial population) or None (raw score, no size bias correction).
+    accepts explicit parameters, "auto" (estimated from the sizes the
+    initial population scored with) or None (raw score, no size bias
+    correction).
     """
 
     population: int = 16
@@ -189,33 +183,34 @@ class _SearchState:
 
     def initialise(self) -> None:
         cells = [random_cell(self.cfg.nodes, self.rng) for _ in range(self.cfg.population)]
+        records = [self.score(cell) for cell in cells]
         if self.cfg.reg == "auto":
-            sizes = [
-                params_to_megabytes(
-                    count_parameters(c, self.cfg.assembly, self.batch.channels)
-                )
-                for c in cells
-            ]
-            self.reg = estimate_mu_sigma(sizes)
+            self.reg = estimate_mu_sigma([r.size_mb for r in records])
         elif isinstance(self.cfg.reg, RegularisationParams):
             self.reg = self.cfg.reg
-        for cell in cells:
-            self.population.append(self.evaluate(cell))
+        self.population = [self.individual(c, r) for c, r in zip(cells, records)]
         self.trace.append(self.best().score)
 
-    def evaluate(self, cell: CellMatrix) -> Individual:
-        record = score_cell(
+    def score(self, cell: CellMatrix) -> ScoreRecord:
+        """The raw record of one evaluation."""
+        self.evaluations += 1
+        return score_cell(
             cell,
             self.cfg.assembly,
             self.batch,
             derive_seed(self.cfg.seed, cell.stable_hash()),
-            self.reg,
             standardise=self.cfg.standardise,
         )
-        self.evaluations += 1
+
+    def individual(self, cell: CellMatrix, record: ScoreRecord) -> Individual:
+        """Apply the run's bell to a raw record and give it the next birth."""
+        record = record.regularised(self.reg)
         birth = self.next_birth
         self.next_birth += 1
         return Individual(cell, record.reg_swap, record.swap, record.size_mb, record.seed, birth)
+
+    def evaluate(self, cell: CellMatrix) -> Individual:
+        return self.individual(cell, self.score(cell))
 
     def best(self) -> Individual:
         return max(self.population, key=lambda ind: (ind.score, -ind.birth))

@@ -13,7 +13,7 @@ for size-controlled architecture search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,3 +165,9 @@ class ScoreRecord:
     flops: int
     seed: int
     batch: str
+
+    def regularised(self, reg: RegularisationParams | None) -> "ScoreRecord":
+        """This record with ``reg_swap`` under the bell ``reg``; None leaves the raw score."""
+        if reg is None:
+            return replace(self, reg_swap=float(self.swap))
+        return replace(self, reg_swap=regularised_swap_score(self.swap, self.size_mb, reg))

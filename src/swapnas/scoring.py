@@ -17,7 +17,6 @@ from .metric import (
     ActivationCapture,
     RegularisationParams,
     ScoreRecord,
-    regularised_swap_score,
     swap_score,
 )
 from .network import InputBatch, build_network, forward_capture, gaussian_batch, read_tensor_file
@@ -71,29 +70,22 @@ def score_and_capture(
     """Score one architecture on one batch and keep the activation capture.
 
     The cell is assembled once; size and FLOP counts come from the same
-    node graph the forward pass runs.  Without regularisation parameters
-    the regularised score equals the raw one (neutral factor), mirroring
-    the no-regularisation rows of the sweep reports.
+    node graph the forward pass runs.  ``reg_swap`` is the raw score under
+    the bell ``reg`` (see :meth:`ScoreRecord.regularised`).
     """
     net = build_network(cell, assembly, weight_seed, in_channels=batch.channels)
     capture = forward_capture(net, batch, standardise=standardise)
     raw = swap_score(capture)
-    params = graph_parameters(net.nodes, batch.channels)
-    size_mb = params_to_megabytes(params)
-    if reg is None:
-        reg_swap = float(raw)
-    else:
-        reg_swap = regularised_swap_score(raw, size_mb, reg)
     record = ScoreRecord(
         arch_id=arch_id,
         swap=raw,
-        reg_swap=reg_swap,
-        size_mb=size_mb,
+        reg_swap=float(raw),
+        size_mb=params_to_megabytes(graph_parameters(net.nodes, batch.channels)),
         flops=graph_macs(net.nodes, batch.dims),
         seed=weight_seed,
         batch=batch_label,
     )
-    return record, capture
+    return record.regularised(reg), capture
 
 
 def score_cell(
@@ -126,14 +118,15 @@ def score_cells(
     assembly: AssemblyConfig,
     batch: InputBatch,
     global_seed: int,
-    reg: RegularisationParams | None = None,
     *,
     standardise: bool = True,
     arch_ids=None,
     batch_label: str = "",
     n_workers: int = 1,
 ) -> list[ScoreRecord]:
-    """Score many candidates; results do not depend on worker scheduling."""
+    """Score many candidates raw; results do not depend on worker scheduling."""
+    if n_workers < 1:
+        raise ValueError(f"need at least one worker, got {n_workers}")
     cells = list(cells)
     if arch_ids is None:
         arch_ids = [""] * len(cells)
@@ -148,14 +141,13 @@ def score_cells(
             assembly,
             batch,
             derive_seed(global_seed, cell.stable_hash()),
-            reg,
             standardise=standardise,
             arch_id=arch_id,
             batch_label=batch_label,
         )
 
     work = list(zip(cells, arch_ids))
-    if n_workers <= 1 or len(work) <= 1:
+    if n_workers == 1 or len(work) <= 1:
         return [job(pair) for pair in work]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(job, work))

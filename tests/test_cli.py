@@ -58,6 +58,23 @@ def truth_file(tmp_path):
     return str(path)
 
 
+def write_table(path, sizes=None):
+    """Six-architecture accuracy table; ``sizes`` adds a size_mb column ('' leaves one blank)."""
+    rows = ["arch_id,cell,accuracy" + ("" if sizes is None else ",size_mb")]
+    for i in range(6):
+        cell = random_cell(4, i).encode().strip().replace("\n", ";")
+        row = f"t{i},{cell},{0.1 + 0.13 * ((5 * i) % 6)}"
+        rows.append(row if sizes is None else f"{row},{sizes[i]}")
+    Path(path).write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+# Reported sizes of the sized table; the blank one falls back to the scored size.
+TABLE_SIZES = ("0.0012", "0.0031", "", "0.0025", "0.0018", "0.0007")
+TABLE_FLAGS = ("--seeds", "2", "--batch", "gauss:8x3x6x6", "--depth", "1", "--stem-channels", "4")
+BELL_FLAGS = ("--mu", "0.0015", "--sigma", "0.000002")
+
+
 class TestScore:
     def test_prints_key_value_lines(self, capsys, cell_file):
         code, out, _ = run(
@@ -317,6 +334,45 @@ class TestSweep:
         assert "MU:SIGMA" in err
 
 
+class TestTableScoringErrors:
+    @pytest.mark.parametrize("cmd, threads", [("correlate", "0"), ("sweep", "-3")])
+    def test_threads_below_one_rejected(self, capsys, tmp_path, cmd, threads):
+        truth = write_table(tmp_path / "truth.csv")
+        grid = ("--grid", "1:1") if cmd == "sweep" else ()
+        code, out, err = run(
+            capsys, cmd, "--truth", truth, *TABLE_FLAGS, *grid, "--threads", threads
+        )
+        assert code == 1
+        assert f"got {threads}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("cmd", [("correlate",), ("sweep", "--grid", "1:1")])
+    def test_header_only_table(self, capsys, tmp_path, cmd):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("arch_id,cell,accuracy\n")
+        code, _, err = run(capsys, *cmd, "--truth", str(truth), *TABLE_FLAGS)
+        assert code == 1
+        assert "only 0 records match the table; need at least 2" in err
+
+    @pytest.fixture
+    def one_row_truth(self, tmp_path):
+        truth = tmp_path / "truth.csv"
+        cell = CELL.encode().strip().replace("\n", ";")
+        truth.write_text(f"arch_id,cell,accuracy\na0,{cell},0.5\n")
+        return str(truth)
+
+    def test_one_row_table_cannot_set_the_auto_bell(self, capsys, one_row_truth):
+        code, _, err = run(capsys, "correlate", "--truth", one_row_truth, *TABLE_FLAGS)
+        assert code == 1
+        assert "need at least two sizes" in err
+
+    def test_one_row_sweep_names_the_record_count(self, capsys, one_row_truth):
+        # The sweep scores raw, so no bell is estimated and the record count is the cause.
+        code, _, err = run(capsys, "sweep", "--truth", one_row_truth, *TABLE_FLAGS, "--grid", "1:1")
+        assert code == 1
+        assert "only 1 records match the table; need at least 2" in err
+
+
 class TestAblateDims:
     def test_random_cells_across_dims(self, capsys, tmp_path):
         out_csv = tmp_path / "ablate.csv"
@@ -442,23 +498,6 @@ class TestOutputGoldens:
         assert code == 0, err
         assert out == (GOLDEN / f"{name}.stdout").read_text()
         assert out_csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
-
-
-def write_table(path, sizes=None):
-    """Six-architecture accuracy table; ``sizes`` adds a size_mb column ('' leaves one blank)."""
-    rows = ["arch_id,cell,accuracy" + ("" if sizes is None else ",size_mb")]
-    for i in range(6):
-        cell = random_cell(4, i).encode().strip().replace("\n", ";")
-        row = f"t{i},{cell},{0.1 + 0.13 * ((5 * i) % 6)}"
-        rows.append(row if sizes is None else f"{row},{sizes[i]}")
-    Path(path).write_text("\n".join(rows) + "\n")
-    return str(path)
-
-
-# Reported sizes of the sized table; the blank one falls back to the scored size.
-TABLE_SIZES = ("0.0012", "0.0031", "", "0.0025", "0.0018", "0.0007")
-TABLE_FLAGS = ("--seeds", "2", "--batch", "gauss:8x3x6x6", "--depth", "1", "--stem-channels", "4")
-BELL_FLAGS = ("--mu", "0.0015", "--sigma", "0.000002")
 
 # Fixed-seed correlate runs: stdout, --out and --save-scores pinned as
 # tests/golden/<name>.stdout, <name>.csv and <name>.scores.csv.

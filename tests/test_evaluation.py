@@ -30,6 +30,8 @@ from swapnas.evaluation import (
     write_score_records,
 )
 from swapnas.metric import ScoreRecord, regularised_swap_score
+from swapnas.network import gaussian_batch
+from swapnas.scoring import score_cell
 
 CELL_A = CellMatrix([[0, 1, 4, 2], [0, 0, 3, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
 CELL_B = CellMatrix([[0, 4, 0, 1], [0, 0, 1, 0], [0, 0, 0, 2], [0, 0, 0, 0]])
@@ -418,3 +420,17 @@ class TestInputDimAblation:
         # saturated standard counts have no rank variance
         if row.standard_std == 0.0:
             assert row.rho_standard is None
+
+    def test_auto_bell_uses_the_first_dims_sizes(self):
+        # Sizes depend on the channel count, so the first row's one-channel sizes set the bell.
+        cells = [random_cell(4, i) for i in range(5)]
+        asm = AssemblyConfig(depth=1, stem_channels=4)
+        dims = [(1, 5, 5), (3, 4, 4)]
+
+        def bell(channels):
+            batch = gaussian_batch(6, (channels, 4, 4), seed=0)
+            return estimate_mu_sigma([score_cell(c, asm, batch, 0).size_mb for c in cells])
+
+        assert bell(1) != bell(3)
+        auto = input_dim_ablation(cells, dims, 6, assembly=asm, seed=2, reg="auto")
+        assert auto == input_dim_ablation(cells, dims, 6, assembly=asm, seed=2, reg=bell(1))

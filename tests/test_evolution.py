@@ -2,7 +2,9 @@
 
 import json
 import shutil
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +18,14 @@ from swapnas.evolution import (
     SaturationError,
     SearchConfig,
     _config_from_dict,
+    _SearchState,
     batch_for_config,
     crossover,
     mutate_connectivity,
     mutate_operation,
     resume_search,
     run_search,
+    save_checkpoint,
 )
 from swapnas.metric import RegularisationParams
 from swapnas.scoring import derive_seed, score_cell
@@ -254,6 +258,29 @@ class TestCheckpointing:
         run_search(small_config(cycles=1), checkpoint_path=path)
         with pytest.raises(ValueError, match="checkpoint_every"):
             resume_search(path, checkpoint_every=every)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        cycles=st.integers(1, 4),
+        reg=st.sampled_from(["auto", None, RegularisationParams(mu=0.0015, sigma=0.000002)]),
+        data=st.data(),
+    )
+    def test_resume_from_any_cycle_equals_the_uninterrupted_run(self, seed, cycles, reg, data):
+        cut = data.draw(st.integers(0, cycles), label="cut")
+        cfg = small_config(
+            population=4, cycles=cycles, mutation_times=2, seed=seed, reg=reg, batch="gauss:4x3x5x5"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            full_path, cut_path = Path(tmp) / "full.ckpt", Path(tmp) / "cut.ckpt"
+            full = run_search(cfg, checkpoint_path=full_path)
+            state = _SearchState(cfg)
+            state.initialise()
+            for _ in range(cut):
+                state.run_cycle()
+            save_checkpoint(cut_path, state)
+            assert resume_search(cut_path) == full
+            assert cut_path.read_bytes() == full_path.read_bytes()
 
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)

@@ -12,6 +12,7 @@ from swapnas.metric import (
     ActivationCapture,
     ContractViolationError,
     RegularisationParams,
+    ScoreRecord,
     binarise_indicator,
     regularisation_factor,
     regularised_swap_score,
@@ -294,6 +295,18 @@ class TestRegularisation:
                 for sg in np.linspace(0.1, 20.0, 40)
             ]
             assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_record_regularised_applies_the_bell_to_reg_swap_only(self):
+        raw = ScoreRecord("a", 40, 40.0, 1.5, 100, 7, "b")
+        params = RegularisationParams(mu=2.0, sigma=0.5)
+        bell = raw.regularised(params)
+        assert bell.reg_swap == regularised_swap_score(40, 1.5, params)
+        assert bell.reg_swap < 40
+        assert bell.regularised(None) == raw
+        assert raw.regularised(None).reg_swap == 40.0
+        assert (bell.arch_id, bell.swap, bell.size_mb, bell.flops, bell.seed, bell.batch) == (
+            "a", 40, 1.5, 100, 7, "b",
+        )
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ContractViolationError):

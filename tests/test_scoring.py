@@ -13,6 +13,13 @@ from swapnas.cells import (
     params_to_megabytes,
     random_cell,
 )
+from swapnas.evaluation import (
+    BenchmarkEntry,
+    BenchmarkTable,
+    input_dim_ablation,
+    score_table,
+)
+from swapnas.evolution import SearchConfig, run_search
 from swapnas.metric import RegularisationParams
 from swapnas.network import build_network, forward_capture, gaussian_batch, write_tensor_file
 from swapnas.scoring import (
@@ -26,6 +33,21 @@ from swapnas.scoring import (
 
 CELL = CellMatrix([[0, 1, 4, 2], [0, 0, 3, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
 ASSEMBLY = AssemblyConfig(depth=1, stem_channels=4)
+
+
+@pytest.fixture
+def assemble_calls(monkeypatch):
+    """The argument tuples of every ``assemble_descriptor`` call made during a test."""
+    calls = []
+    original = swapnas.cells.assemble_descriptor
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (swapnas.cells, swapnas.network):
+        monkeypatch.setattr(module, "assemble_descriptor", counted)
+    return calls
 
 
 class TestBatchSpecs:
@@ -85,24 +107,15 @@ class TestScoreCell:
         record = score_cell(CELL, ASSEMBLY, batch, 9, None)
         assert record.reg_swap == float(record.swap)
 
-    def test_one_assembly_gives_the_wrapper_sizes_and_capture(self, monkeypatch):
-        calls = []
-        original = swapnas.cells.assemble_descriptor
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        for module in (swapnas.cells, swapnas.network):
-            monkeypatch.setattr(module, "assemble_descriptor", counted)
+    def test_one_assembly_gives_the_wrapper_sizes_and_capture(self, assemble_calls):
         cfg = AssemblyConfig(depth=3, stem_channels=4, reductions=(1,), head=True)
         batch = gaussian_batch(5, (3, 9, 7), seed=1)
         rng = np.random.default_rng(5)
         for _ in range(4):
             cell = random_cell(4, rng)
-            calls.clear()
+            assemble_calls.clear()
             record, capture = score_and_capture(cell, cfg, batch, 3, standardise=False)
-            assert len(calls) == 1
+            assert len(assemble_calls) == 1
             assert record == score_cell(cell, cfg, batch, 3, standardise=False)
             assert record.size_mb == params_to_megabytes(count_parameters(cell, cfg))
             assert record.flops == count_flops(cell, cfg, batch.dims)
@@ -121,3 +134,34 @@ class TestScoreCell:
         batch = gaussian_batch(4, (3, 6, 6), seed=4)
         with pytest.raises(ValueError, match="arch id"):
             score_cells([CELL], ASSEMBLY, batch, 0, arch_ids=["a", "b"])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_score_cells_rejects_fewer_than_one_worker(self, workers):
+        batch = gaussian_batch(4, (3, 6, 6), seed=4)
+        with pytest.raises(ValueError, match=f"got {workers}"):
+            score_cells([CELL, CELL], ASSEMBLY, batch, 0, n_workers=workers)
+
+
+class TestOneAssemblyPerScore:
+    """Resolving reg="auto" reads the sizes scoring returned; no cell is assembled twice."""
+
+    def test_search(self, assemble_calls):
+        cfg = SearchConfig(
+            population=5, cycles=3, mutation_times=2, seed=4,
+            batch="gauss:4x3x5x5", assembly=ASSEMBLY, reg="auto",
+        )
+        result = run_search(cfg)
+        assert len(assemble_calls) == result.evaluations
+
+    def test_score_table(self, assemble_calls):
+        entries = tuple(BenchmarkEntry(f"a{i}", random_cell(4, i), 0.5) for i in range(7))
+        table = BenchmarkTable(entries)
+        records = score_table(table, ASSEMBLY, "gauss:4x3x5x5", n_seeds=3, reg="auto")
+        assert len(records) == len(entries)
+        assert len(assemble_calls) == len(entries)
+
+    def test_input_dim_ablation(self, assemble_calls):
+        cells = [random_cell(4, i) for i in range(4)]
+        dims = [(3, 4, 4), (2, 5, 5), (1, 3, 3)]
+        input_dim_ablation(cells, dims, 5, assembly=ASSEMBLY, reg="auto")
+        assert len(assemble_calls) == len(cells) * len(dims)
