@@ -144,6 +144,16 @@ def _add_scoring_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     _add_assembly_flags(p)
 
 
+def _set_table_scoring_defaults(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Keep the parser defaults of the flags ``--scores`` replaces in ``args.table_scoring``.
+
+    The assembly flags are among them.  A flag read from a score file in
+    place of scoring must be left at its default (see ``_records_for``).
+    """
+    dests = [flag[2:].replace("-", "_") for flag in flags] + list(_ASSEMBLY_FIELDS)
+    p.set_defaults(table_scoring={dest: p.get_default(dest) for dest in dests})
+
+
 def _reg_from_args(args):
     if (args.mu is None) != (args.sigma is None):
         raise UsageError("--mu and --sigma must be given together")
@@ -171,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-scores", default=None, help="write freshly computed scores to this CSV")
     p.add_argument("--out", default=None, help="write the per-seed report as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
-    _add_scoring_flags(p, "--batch", "--mu", "--sigma", "--no-standardise", "--threads")
+    scoring = ("--batch", "--mu", "--sigma", "--no-standardise", "--threads")
+    _add_scoring_flags(p, *scoring)
+    _set_table_scoring_defaults(p, "--seeds", "--save-scores", *scoring)
 
     p = sub.add_parser("sweep", help="sweep regularisation parameters on a grid")
     p.add_argument("--truth", required=True, help="accuracy table CSV")
@@ -180,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=1, help="seed groups when scoring the table directly")
     p.add_argument("--out", default=None, help="write the sweep as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
-    _add_scoring_flags(p, "--batch", "--no-standardise", "--threads")
+    scoring = ("--batch", "--no-standardise", "--threads")
+    _add_scoring_flags(p, *scoring)
+    _set_table_scoring_defaults(p, "--seeds", *scoring)
 
     p = sub.add_parser("ablate-dims", help="compare metrics across input dimensionalities")
     p.add_argument("--dims", required=True, help="input dims CxWxH[,CxWxH...]")
@@ -311,6 +325,9 @@ def _cmd_search(args) -> int:
 
 def _records_for(args, table, reg) -> list:
     if args.scores:
+        for dest, default in args.table_scoring.items():
+            if getattr(args, dest) != default:
+                raise UsageError(f"--{dest.replace('_', '-')} has no effect with --scores")
         return read_score_records(args.scores)
     records = score_table(
         table,

@@ -131,6 +131,8 @@ def load_accuracy_table(path) -> BenchmarkTable:
                     size_mb = float(row[3])
                 except ValueError:
                     raise TableError(f"{path}: line {line}: non-numeric size_mb {row[3]!r}") from None
+                if not (math.isfinite(size_mb) and size_mb > 0.0):
+                    raise TableError(f"{path}: line {line}: size_mb {size_mb} is not a positive finite number")
             entries.append(BenchmarkEntry(arch_id, cell, accuracy, size_mb))
     return BenchmarkTable(tuple(entries))
 

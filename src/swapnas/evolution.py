@@ -9,6 +9,12 @@ in the population never decreases.  All randomness flows through one
 seeded generator and every candidate's weights are seeded from the global
 seed XOR its cell digest, which makes whole runs reproducible and
 individual scores recomputable.
+
+Because a score is recomputable from the cell and the run's constants
+(seed, batch, assembly, standardisation), a run scores each distinct cell
+once and answers every repeat from an in-memory memo of raw records.  The
+memo is not checkpointed: a resumed run rebuilds it, which changes how
+often cells are scored but no result.
 """
 
 from __future__ import annotations
@@ -180,6 +186,8 @@ class _SearchState:
         self.next_birth = 0
         self.reg: RegularisationParams | None = None
         self.batch = batch_for_config(cfg)
+        # Keyed on the cell itself, not its 64-bit digest, so a hit is exact.
+        self.scored: dict[CellMatrix, ScoreRecord] = {}
 
     def initialise(self) -> None:
         cells = [random_cell(self.cfg.nodes, self.rng) for _ in range(self.cfg.population)]
@@ -192,15 +200,18 @@ class _SearchState:
         self.trace.append(self.best().score)
 
     def score(self, cell: CellMatrix) -> ScoreRecord:
-        """The raw record of one evaluation."""
+        """The raw record of one evaluation; a cell already scored is not scored again."""
         self.evaluations += 1
-        return score_cell(
-            cell,
-            self.cfg.assembly,
-            self.batch,
-            derive_seed(self.cfg.seed, cell.stable_hash()),
-            standardise=self.cfg.standardise,
-        )
+        record = self.scored.get(cell)
+        if record is None:
+            record = self.scored[cell] = score_cell(
+                cell,
+                self.cfg.assembly,
+                self.batch,
+                derive_seed(self.cfg.seed, cell.stable_hash()),
+                standardise=self.cfg.standardise,
+            )
+        return record
 
     def individual(self, cell: CellMatrix, record: ScoreRecord) -> Individual:
         """Apply the run's bell to a raw record and give it the next birth."""

@@ -354,6 +354,26 @@ class TestTableScoringErrors:
         assert code == 1
         assert "only 0 records match the table; need at least 2" in err
 
+    @pytest.mark.parametrize("cmd", [("correlate",), ("sweep", "--grid", "1:1")])
+    def test_nan_size_in_the_last_row_rejected(self, capsys, tmp_path, cmd):
+        truth = write_table(tmp_path / "truth.csv", sizes=TABLE_SIZES[:5] + ("nan",))
+        code, out, err = run(capsys, *cmd, "--truth", truth, *TABLE_FLAGS)
+        assert code == 1
+        assert "line 7: size_mb nan is not a positive finite number" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("cmd", [("correlate",), ("sweep", "--grid", "1:1")])
+    @pytest.mark.parametrize("flag", [("--threads", "0"), ("--seeds", "3")])
+    def test_scoring_flag_with_precomputed_scores_rejected(self, capsys, tmp_path, cmd, flag):
+        truth = write_table(tmp_path / "truth.csv")
+        scores = tmp_path / "scores.csv"
+        code, _, _ = run(capsys, "correlate", "--truth", truth, *TABLE_FLAGS, "--save-scores", str(scores))
+        assert code == 0
+        code, out, err = run(capsys, *cmd, "--truth", truth, "--scores", str(scores), *flag)
+        assert code == 1
+        assert f"{flag[0]} has no effect with --scores" in err
+        assert out == ""
+
     @pytest.fixture
     def one_row_truth(self, tmp_path):
         truth = tmp_path / "truth.csv"

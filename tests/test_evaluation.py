@@ -116,6 +116,26 @@ class TestLoadAccuracyTable:
         assert table.entries[0].size_mb == 1.25
         assert table.entries[1].size_mb is None
 
+    @pytest.mark.parametrize(
+        "sizes, line, bad",
+        [
+            (["nan", "1.0", "2.0"], 2, "nan"),
+            (["1.0", "2.0", "nan"], 4, "nan"),
+            (["1.0", "inf", "2.0"], 3, "inf"),
+            (["1.0", "0", "2.0"], 3, "0.0"),
+            (["1.0", "2.0", "-1"], 4, "-1.0"),
+        ],
+    )
+    def test_size_that_is_not_positive_and_finite_rejected(self, tmp_path, sizes, line, bad):
+        path = tmp_path / "t.csv"
+        cells = (CELL_A, CELL_B, CELL_C)
+        rows = [f"x{i},{cell_field(c)},0.5,{size}" for i, (c, size) in enumerate(zip(cells, sizes))]
+        path.write_text(table_text(rows, header="arch_id,cell,accuracy,size_mb"))
+        message = f"{path}: line {line}: size_mb {bad} is not a positive finite number"
+        with pytest.raises(TableError) as exc:
+            load_accuracy_table(path)
+        assert str(exc.value) == message
+
     def test_write_read_round_trip(self, tmp_path):
         table = BenchmarkTable(
             (

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapnas import evolution
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, validate_cell
 from swapnas.evolution import (
     Individual,
@@ -46,6 +47,20 @@ def small_config(**overrides) -> SearchConfig:
     )
     base.update(overrides)
     return SearchConfig(**base)
+
+
+@pytest.fixture
+def score_calls(monkeypatch):
+    """The cell of every ``score_cell`` call the search makes during a test."""
+    calls = []
+    original = evolution.score_cell
+
+    def counted(cell, *args, **kwargs):
+        calls.append(cell)
+        return original(cell, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "score_cell", counted)
+    return calls
 
 
 class TestMutateOperation:
@@ -216,6 +231,27 @@ class TestSearchLoop:
             small_config(crossover_prob=1.5)
         with pytest.raises(ValueError):
             small_config(tournament=99)
+
+
+class TestScoreMemo:
+    def test_each_distinct_cell_is_scored_once(self, score_calls):
+        result = run_search(small_config(cycles=20, seed=3))
+        assert len(score_calls) == len(set(score_calls))
+        assert result.best.cell in score_calls
+        assert len(score_calls) < result.evaluations
+
+    def test_search_config_scores_at_most_a_tenth_of_its_evaluations(self, score_calls):
+        cfg = SearchConfig(
+            population=16,
+            cycles=100,
+            mutation_times=8,
+            batch="gauss:16x3x8x8",
+            nodes=4,
+            seed=0,
+            assembly=AssemblyConfig(depth=1, stem_channels=8),
+        )
+        result = run_search(cfg)
+        assert len(score_calls) <= 0.1 * result.evaluations
 
 
 class TestCheckpointing:
