@@ -3,6 +3,8 @@
 import importlib
 from pathlib import Path
 
+import pytest
+
 import swapnas
 from swapnas import AssemblyConfig, SearchConfig
 
@@ -49,3 +51,13 @@ def test_traced_search_shows_one_score_span_per_distinct_cell(monkeypatch):
     assert metrics["evolution.score_calls"] == metrics["evolution.distinct_cells"] > 0
     assert metrics["evolution.score_calls"] < result.evaluations
     assert metrics["evolution.useful_ratio"] == 1.0
+
+
+@pytest.mark.parametrize("name", ["nb201-score", "search-small", "ablate-dims"])
+def test_each_workload_runs_one_operation_that_passes_its_check(monkeypatch, tmp_path, name):
+    # Runs the call forms workloads.py uses, which the TRACED names alone do not pin.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name](0, str(tmp_path))
+    out, _ = workload.op(0)
+    assert workload.check(0, out) is None

@@ -6,6 +6,7 @@ import pytest
 from swapnas.cells import (
     OP_CODES,
     AssemblyConfig,
+    AssemblyError,
     CellMatrix,
     CellValidationError,
     NodeSpec,
@@ -17,10 +18,12 @@ from swapnas.cells import (
     params_to_megabytes,
     random_cell,
     read_cell_file,
+    trace_channels,
     trace_shapes,
     validate_cell,
     write_cell_file,
 )
+from swapnas.network import NetworkInstance, forward_capture, gaussian_batch
 
 # Example 4-node cell using every op kind: conv3, skip, conv1, pool3, conv3.
 EXAMPLE_CELL = CellMatrix(
@@ -209,6 +212,49 @@ class TestAssembly:
         assert cfg.depth == 5
         assert cfg.stem_channels == 16
         assert cfg.reductions == (2, 4)
+
+
+class TestGraphWalkerErrors:
+    """The graph walkers reject bad graphs and bad input dims before any compute."""
+
+    def test_unknown_node_kind(self):
+        nodes = (NodeSpec("input", "input"), NodeSpec("act", "relu", (0,)))
+        with pytest.raises(AssemblyError, match="unknown node kind 'relu' at act"):
+            trace_channels(nodes, 3)
+        with pytest.raises(AssemblyError, match="unknown node kind 'relu' at act"):
+            trace_shapes(nodes, (3, 4, 4))
+        net = NetworkInstance(nodes, (None, None), seed=0, in_channels=3)
+        with pytest.raises(AssemblyError, match="unknown node kind 'relu' at act"):
+            forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
+
+    def test_inputs_of_differing_widths(self):
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("a", "conv", (0,), channels_out=4, kernel=1, scored=True),
+            NodeSpec("b", "conv", (0,), channels_out=5, kernel=1, scored=True),
+            NodeSpec("sum", "skip", (1, 2)),
+        )
+        with pytest.raises(AssemblyError, match=r"sum sums inputs of differing widths \[4, 5\]"):
+            trace_channels(nodes, 3)
+        with pytest.raises(AssemblyError, match="sum sums inputs of differing"):
+            trace_shapes(nodes, (3, 4, 4))
+
+    def test_inputs_of_differing_spatial_sizes(self):
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("a", "conv", (0,), channels_out=4, kernel=1, scored=True),
+            NodeSpec("b", "conv", (0,), channels_out=4, kernel=1, stride=2, scored=True),
+            NodeSpec("sum", "skip", (1, 2)),
+        )
+        assert trace_channels(nodes, 3) == [3, 4, 4, 4]
+        with pytest.raises(AssemblyError, match="sum sums inputs of differing"):
+            trace_shapes(nodes, (3, 4, 4))
+
+    @pytest.mark.parametrize("dims", [(0, 4, 4), (3, 0, 4), (3, 4, -1)])
+    def test_input_dims_below_one(self, dims):
+        nodes = (NodeSpec("input", "input"), NodeSpec("s", "skip", (0,)))
+        with pytest.raises(ShapeError, match="input dims must be positive"):
+            trace_shapes(nodes, dims)
 
 
 class TestSizeAccounting:
