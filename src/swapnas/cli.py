@@ -275,7 +275,11 @@ def _search_config(values: dict[str, str]) -> tuple[SearchConfig, dict]:
             raise UsageError("config must set mu and sigma together")
         search["reg"] = RegularisationParams(**bell)
     assembly = AssemblyConfig(**_parse_keys(values, _ASSEMBLY_FIELDS))
-    return SearchConfig(**search, assembly=assembly), _parse_keys(values, _OUTPUT_KEYS)
+    outputs = _parse_keys(values, _OUTPUT_KEYS)
+    for key in ("checkpoint_every", "resume"):
+        if key in outputs and not outputs.get("checkpoint"):
+            raise UsageError(f"config key {key} has no effect without checkpoint")
+    return SearchConfig(**search, assembly=assembly), outputs
 
 
 def _cmd_search(args) -> int:

@@ -36,6 +36,21 @@ class TableError(ValueError):
     """An accuracy table or score file fails schema or value validation."""
 
 
+# What each numeric column of the accuracy and score files must hold.
+_VALUE_RULES = {
+    "swap": (lambda v: v >= 0, "a non-negative integer"),
+    "reg_swap": (lambda v: math.isfinite(v) and v >= 0.0, "a non-negative finite number"),
+    "size_mb": (lambda v: math.isfinite(v) and v > 0.0, "a positive finite number"),
+    "flops": (lambda v: v >= 0, "a non-negative integer"),
+}
+
+
+def _check_value(path, line: int, name: str, value) -> None:
+    holds, expected = _VALUE_RULES[name]
+    if not holds(value):
+        raise TableError(f"{path}: line {line}: {name} {value} is not {expected}")
+
+
 class UndefinedCorrelationError(ValueError):
     """Rank correlation is undefined (zero rank variance)."""
 
@@ -131,8 +146,7 @@ def load_accuracy_table(path) -> BenchmarkTable:
                     size_mb = float(row[3])
                 except ValueError:
                     raise TableError(f"{path}: line {line}: non-numeric size_mb {row[3]!r}") from None
-                if not (math.isfinite(size_mb) and size_mb > 0.0):
-                    raise TableError(f"{path}: line {line}: size_mb {size_mb} is not a positive finite number")
+                _check_value(path, line, "size_mb", size_mb)
             entries.append(BenchmarkEntry(arch_id, cell, accuracy, size_mb))
     return BenchmarkTable(tuple(entries))
 
@@ -176,19 +190,20 @@ def read_score_records(path) -> list[ScoreRecord]:
             if len(row) != len(SCORE_COLUMNS):
                 raise TableError(f"{path}: line {line}: expected {len(SCORE_COLUMNS)} columns")
             try:
-                records.append(
-                    ScoreRecord(
-                        arch_id=row[0],
-                        seed=int(row[1]),
-                        batch=row[2],
-                        swap=int(row[3]),
-                        reg_swap=float(row[4]),
-                        size_mb=float(row[5]),
-                        flops=int(row[6]),
-                    )
+                record = ScoreRecord(
+                    arch_id=row[0],
+                    seed=int(row[1]),
+                    batch=row[2],
+                    swap=int(row[3]),
+                    reg_swap=float(row[4]),
+                    size_mb=float(row[5]),
+                    flops=int(row[6]),
                 )
             except ValueError as exc:
                 raise TableError(f"{path}: line {line}: {exc}") from None
+            for name in _VALUE_RULES:
+                _check_value(path, line, name, getattr(record, name))
+            records.append(record)
     return records
 
 

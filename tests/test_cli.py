@@ -193,6 +193,16 @@ class TestSearchCommand:
         assert "checkpoint_every" in err
         assert out == ""
 
+    @pytest.mark.parametrize("key, value", [("checkpoint_every", "5"), ("resume", "true")])
+    def test_checkpoint_option_without_checkpoint_rejected(self, capsys, tmp_path, key, value):
+        summary = tmp_path / "summary.txt"
+        cfg = self.write_config(tmp_path, out_summary=str(summary), **{key: value})
+        code, out, err = run(capsys, "search", "--config", cfg)
+        assert code == 1
+        assert f"config key {key} has no effect without checkpoint" in err
+        assert out == ""
+        assert not summary.exists()
+
     def test_resume_from_checkpoint(self, capsys, tmp_path):
         ckpt = tmp_path / "search.ckpt"
         cell_out = tmp_path / "best.cell"
@@ -372,6 +382,35 @@ class TestTableScoringErrors:
         code, out, err = run(capsys, *cmd, "--truth", truth, "--scores", str(scores), *flag)
         assert code == 1
         assert f"{flag[0]} has no effect with --scores" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("cmd", ["correlate", "sweep", "histogram"])
+    @pytest.mark.parametrize(
+        "column, bad, message",
+        [
+            ("size_mb", "nan", "size_mb nan is not a positive finite number"),
+            ("size_mb", "-inf", "size_mb -inf is not a positive finite number"),
+            ("size_mb", "0", "size_mb 0.0 is not a positive finite number"),
+            ("reg_swap", "inf", "reg_swap inf is not a non-negative finite number"),
+            ("reg_swap", "-0.5", "reg_swap -0.5 is not a non-negative finite number"),
+            ("swap", "-4", "swap -4 is not a non-negative integer"),
+            ("flops", "-1", "flops -1 is not a non-negative integer"),
+        ],
+    )
+    def test_score_file_value_rejected_with_its_line(self, capsys, tmp_path, cmd, column, bad, message):
+        values = {"swap": "6", "reg_swap": "6.0", "size_mb": "0.002", "flops": "900"}
+        rows = ["arch_id,seed,batch,swap,reg_swap,size_mb,flops", "t0,0,b,5,5.0,0.001,800"]
+        for i in (1, 2):
+            row = dict(values, **{column: bad}) if i == 2 else values
+            rows.append(f"t{i},0,b,{row['swap']},{row['reg_swap']},{row['size_mb']},{row['flops']}")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(rows) + "\n")
+        extra = {"correlate": ("--truth", write_table(tmp_path / "truth.csv")),
+                 "sweep": ("--truth", write_table(tmp_path / "truth.csv"), "--grid", "1:1"),
+                 "histogram": ()}[cmd]
+        code, out, err = run(capsys, cmd, "--scores", str(scores), *extra)
+        assert code == 1
+        assert f"{scores}: line 4: {message}" in err
         assert out == ""
 
     @pytest.fixture
