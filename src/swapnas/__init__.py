@@ -75,6 +75,6 @@ from .network import (
     read_tensor_file,
     write_tensor_file,
 )
-from .scoring import derive_seed, make_batch, score_cell, score_cells
+from .scoring import derive_seed, make_batch, score_cell
 
 __version__ = "0.1.0"

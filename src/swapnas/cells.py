@@ -13,6 +13,7 @@ their outputs are summed elementwise.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,21 +367,23 @@ def trace_shapes(
 ) -> list[tuple[int, int, int]]:
     """Propagate (channels, width, height) through the graph.
 
-    Windowed layers use output size floor((d + 2*padding - kernel)/stride) + 1
-    per spatial axis and reject kernels larger than the padded map.
+    Channels come from :func:`trace_channels`.  Windowed layers use output
+    size floor((d + 2*padding - kernel)/stride) + 1 per spatial axis and
+    reject kernels larger than the padded map.
     """
     c0, w0, h0 = (int(d) for d in input_dims)
     if min(c0, w0, h0) < 1:
         raise ShapeError(f"input dims must be positive, got {input_dims}")
-    shapes: list[tuple[int, int, int]] = []
+    channels = trace_channels(nodes, c0)
+    sizes: list[tuple[int, int]] = []
     for node in nodes:
         if node.kind == "input":
-            shapes.append((c0, w0, h0))
+            sizes.append((w0, h0))
             continue
-        ins = {shapes[i] for i in node.inputs}
+        ins = {sizes[i] for i in node.inputs}
         if len(ins) != 1:
-            raise AssemblyError(f"node {node.name} sums inputs of differing shapes {sorted(ins)}")
-        c, w, h = ins.pop()
+            raise AssemblyError(f"node {node.name} sums inputs of differing sizes {sorted(ins)}")
+        w, h = ins.pop()
         if node.kind in ("conv", "avg-pool"):
             k, t, p = node.kernel, node.stride, node.padding
             wp, hp = w + 2 * p, h + 2 * p
@@ -388,29 +391,32 @@ def trace_shapes(
                 raise ShapeError(
                     f"kernel {k} exceeds the padded {wp}x{hp} feature map at {node.name}"
                 )
-            out_w = (wp - k) // t + 1
-            out_h = (hp - k) // t + 1
-            out_c = node.channels_out if node.kind == "conv" else c
-            shapes.append((out_c, out_w, out_h))
+            sizes.append(((wp - k) // t + 1, (hp - k) // t + 1))
         elif node.kind == "skip":
-            shapes.append((c, w, h))
-        elif node.kind == "global-pool":
-            shapes.append((c, 1, 1))
-        elif node.kind == "dense":
-            if (w, h) != (1, 1):
+            sizes.append((w, h))
+        else:  # global-pool or dense
+            if node.kind == "dense" and (w, h) != (1, 1):
                 raise ShapeError(f"dense layer {node.name} expects 1x1 spatial input, got {w}x{h}")
-            shapes.append((node.units, 1, 1))
-        else:
-            raise AssemblyError(f"unknown node kind {node.kind!r} at {node.name}")
-    return shapes
+            sizes.append((1, 1))
+    return [(c, w, h) for c, (w, h) in zip(channels, sizes)]
 
 
-def _weight_count(node: NodeSpec, c_in: int) -> int:
+def weight_shape(node: NodeSpec, channels: list[int]) -> tuple[int, ...]:
+    """Shape of a node's weight tensor, or () if it has none.
+
+    ``channels`` holds every node's output width (see :func:`trace_channels`);
+    the node reads the width of its first input.
+    """
     if node.kind == "conv":
-        return node.channels_out * c_in * node.kernel * node.kernel
+        return (node.channels_out, channels[node.inputs[0]], node.kernel, node.kernel)
     if node.kind == "dense":
-        return node.units * c_in
-    return 0
+        return (node.units, channels[node.inputs[0]])
+    return ()
+
+
+def _weight_count(node: NodeSpec, channels: list[int]) -> int:
+    shape = weight_shape(node, channels)
+    return math.prod(shape) if shape else 0
 
 
 def graph_parameters(nodes: tuple[NodeSpec, ...], in_channels: int) -> int:
@@ -419,17 +425,14 @@ def graph_parameters(nodes: tuple[NodeSpec, ...], in_channels: int) -> int:
     Biases are excluded because initialisation zeroes them.
     """
     channels = trace_channels(nodes, in_channels)
-    return sum(_weight_count(node, channels[node.inputs[0]]) for node in nodes if node.inputs)
+    return sum(_weight_count(node, channels) for node in nodes)
 
 
 def graph_macs(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, int, int]) -> int:
     """Multiply-accumulate count: per weighted layer, params times output area."""
     shapes = trace_shapes(nodes, input_dims)
-    total = 0
-    for node, (_, out_w, out_h) in zip(nodes, shapes):
-        if node.inputs:
-            total += _weight_count(node, shapes[node.inputs[0]][0]) * out_w * out_h
-    return total
+    channels = [c for c, _, _ in shapes]
+    return sum(_weight_count(node, channels) * w * h for node, (_, w, h) in zip(nodes, shapes))
 
 
 def count_parameters(cell: CellMatrix, cfg: AssemblyConfig, in_channels: int = 3) -> int:

@@ -14,6 +14,7 @@ import io
 import math
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .metric import (
     standard_pattern_cardinality,
 )
 from .network import gaussian_batch
-from .scoring import BATCH_SALT, derive_seed, make_batch, score_and_capture, score_cells
+from .scoring import BATCH_SALT, derive_seed, make_batch, score_and_capture, score_cell
 
 TABLE_COLUMNS = ("arch_id", "cell", "accuracy")
 SCORE_COLUMNS = ("arch_id", "seed", "batch", "swap", "reg_swap", "size_mb", "flops")
@@ -373,33 +374,39 @@ def score_table(
     """Score a table's architectures under the multi-seed protocol.
 
     The entries are split into ``n_seeds`` disjoint strided groups; group k
-    is scored with seed k (fresh batch, fresh weights).  The groups are
-    scored raw; ``reg="auto"`` then estimates the bell parameters once
-    from the whole table's sizes, taking each entry's reported size and
-    else the size its record was scored with.
+    is scored with seed k (fresh batch, fresh weights).  Every entry is
+    scored raw, on ``n_workers`` threads; the records do not depend on the
+    schedule.  ``reg="auto"`` then estimates the bell parameters once from
+    the whole table's sizes, taking each entry's reported size and else
+    the size its record was scored with.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    scored: list[tuple[BenchmarkEntry, ScoreRecord]] = []
+    if n_workers < 1:
+        raise ValueError(f"need at least one worker, got {n_workers}")
+    jobs = []
     for seed in range(n_seeds):
         group = table.entries[seed::n_seeds]
-        if not group:
-            continue
-        records = score_cells(
-            [e.cell for e in group],
-            assembly,
-            make_batch(batch_spec, derive_seed(seed, BATCH_SALT)),
-            seed,
-            standardise=standardise,
-            arch_ids=[e.arch_id for e in group],
-            batch_label=batch_spec,
-            n_workers=n_workers,
+        if group:
+            batch = make_batch(batch_spec, derive_seed(seed, BATCH_SALT))
+            jobs.extend((entry, seed, batch) for entry in group)
+
+    def score(job) -> ScoreRecord:
+        entry, seed, batch = job
+        record = score_cell(
+            entry.cell, assembly, batch, derive_seed(seed, entry.cell.stable_hash()),
+            standardise=standardise, arch_id=entry.arch_id, batch_label=batch_spec,
         )
-        # score_cells stamps the derived weight seed; reports group by protocol seed
-        scored.extend((e, replace(r, seed=seed)) for e, r in zip(group, records))
-    if reg == "auto" and scored:
-        reg = estimate_mu_sigma(r.size_mb if e.size_mb is None else e.size_mb for e, r in scored)
-    return [r.regularised(reg) for _, r in scored]
+        # The record carries the derived weight seed; reports group by protocol seed.
+        return replace(record, seed=seed)
+
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        records = list(pool.map(score, jobs))
+    if reg == "auto" and records:
+        reg = estimate_mu_sigma(
+            r.size_mb if e.size_mb is None else e.size_mb for (e, _, _), r in zip(jobs, records)
+        )
+    return [r.regularised(reg) for r in records]
 
 
 @dataclass(frozen=True)

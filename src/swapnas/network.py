@@ -1,17 +1,21 @@
 """Untrained ReLU networks and the capturing forward pass.
 
 Networks are node graphs (see :mod:`swapnas.cells`) with deterministic
-random weights: zero-mean Gaussians scaled by fan-in, zero biases.  The
-forward pass records the binarised post-activation bit of every
-intermediate value that feeds a ReLU, for every sample, and discards the
-raw activations immediately.  An optional per-channel batch
-standardisation of pre-activations emulates normalisation layers at
-initialisation; it must be switched off when testing the positive-scale
-sign invariance of plain convolution chains.
+random weights: zero-mean Gaussians scaled by fan-in, in the shapes
+:func:`swapnas.cells.weight_shape` gives, and zero biases.  In the forward
+pass each node only computes its output; a dense layer's output is an
+(S, units, 1, 1) map, so every node that feeds a ReLU (``scored``) then
+takes the same step: an optional per-channel batch standardisation, the
+sign bit of every value packed into the capture, and the ReLU.  Raw
+activations are dropped as soon as their last consumer has run.  The
+standardisation emulates normalisation layers at initialisation; it must
+be switched off when testing the positive-scale sign invariance of plain
+convolution chains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,7 @@ from .cells import (
     assemble_descriptor,
     trace_channels,
     trace_shapes,
+    weight_shape,
 )
 from .metric import ActivationCapture, pack_bit_rows
 
@@ -138,16 +143,9 @@ def network_from_nodes(
     rng = np.random.default_rng(seed)
     weights: list[np.ndarray | None] = []
     for node in nodes:
-        if node.kind == "conv":
-            c_in = channels[node.inputs[0]]
-            fan_in = c_in * node.kernel * node.kernel
-            w = rng.standard_normal((node.channels_out, c_in, node.kernel, node.kernel))
-            weights.append(w * np.sqrt(2.0 / fan_in))
-        elif node.kind == "dense":
-            c_in = channels[node.inputs[0]]
-            weights.append(rng.standard_normal((node.units, c_in)) * np.sqrt(2.0 / c_in))
-        else:
-            weights.append(None)
+        shape = weight_shape(node, channels)
+        fan_in = math.prod(shape[1:])
+        weights.append(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in) if shape else None)
     return NetworkInstance(tuple(nodes), tuple(weights), seed, in_channels)
 
 
@@ -186,20 +184,20 @@ def build_mlp(
     return network_from_nodes(tuple(nodes), seed, in_features)
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Strided kernel x kernel windows of the zero-padded map: (S, C, W', H', k, k)."""
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    k = w.shape[-1]
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    y = np.tensordot(win, w, axes=[(1, 4, 5), (1, 2, 3)])
+    return sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    y = np.tensordot(_windows(x, w.shape[-1], stride, padding), w, axes=[(1, 4, 5), (1, 2, 3)])
     return np.transpose(y, (0, 3, 1, 2))
 
 
 def _avg_pool(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.mean(axis=(4, 5))
+    return _windows(x, kernel, stride, padding).mean(axis=(4, 5))
 
 
 def _standardise(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -228,7 +226,7 @@ def forward_capture(
         )
     trace_shapes(net.nodes, batch.dims)  # reject bad geometry before any compute
     n_samples = batch.n_samples
-    blocks: list[np.ndarray] = []
+    blocks = [np.zeros((0, (n_samples + 7) // 8), dtype=np.uint8)]
     consumers = [0] * len(net.nodes)
     for node in net.nodes:
         for i in node.inputs:
@@ -243,31 +241,20 @@ def forward_capture(
             for i in node.inputs[1:]:
                 x = x + values[i]
             if node.kind == "conv":
-                pre = _conv2d(x, net.weights[idx], node.stride, node.padding)
-                if node.scored:
-                    if standardise:
-                        pre = _standardise(pre, (0, 2, 3))
-                    blocks.append(pack_bit_rows((pre > 0).reshape(n_samples, -1).T))
-                    out = np.maximum(pre, 0.0)
-                else:
-                    out = pre
+                out = _conv2d(x, net.weights[idx], node.stride, node.padding)
             elif node.kind == "avg-pool":
                 out = _avg_pool(x, node.kernel, node.stride, node.padding)
             elif node.kind == "skip":
                 out = x
             elif node.kind == "global-pool":
                 out = x.mean(axis=(2, 3), keepdims=True)
-            elif node.kind == "dense":
-                flat = x.reshape(n_samples, -1)
-                pre = flat @ net.weights[idx].T
-                if node.scored:
-                    if standardise:
-                        pre = _standardise(pre, (0,))
-                    blocks.append(pack_bit_rows((pre > 0).T))
-                    pre = np.maximum(pre, 0.0)
-                out = pre.reshape(n_samples, node.units, 1, 1)
-            else:
-                raise AssemblyError(f"unknown node kind {node.kind!r} at {node.name}")
+            else:  # dense; trace_shapes has rejected every other kind
+                out = (x.reshape(n_samples, -1) @ net.weights[idx].T).reshape(n_samples, -1, 1, 1)
+            if node.scored:
+                if standardise:
+                    out = _standardise(out, (0, 2, 3))
+                blocks.append(pack_bit_rows((out > 0).reshape(n_samples, -1).T))
+                out = np.maximum(out, 0.0)
             if not np.isfinite(out).all():
                 raise NumericOverflowError(
                     f"non-finite intermediate value produced by layer {node.name}"
@@ -278,9 +265,4 @@ def forward_capture(
             if consumers[i] == 0:
                 del values[i]
 
-    width = (n_samples + 7) // 8
-    if blocks:
-        packed = np.concatenate(blocks, axis=0)
-    else:
-        packed = np.zeros((0, width), dtype=np.uint8)
-    return ActivationCapture(packed, n_samples)
+    return ActivationCapture(np.concatenate(blocks, axis=0), n_samples)

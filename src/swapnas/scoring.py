@@ -10,7 +10,6 @@ many candidates in parallel gives the same records in any schedule.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 
 from .cells import AssemblyConfig, CellMatrix, graph_macs, graph_parameters, params_to_megabytes
 from .metric import (
@@ -112,42 +111,3 @@ def score_cell(
     )
     return record
 
-
-def score_cells(
-    cells,
-    assembly: AssemblyConfig,
-    batch: InputBatch,
-    global_seed: int,
-    *,
-    standardise: bool = True,
-    arch_ids=None,
-    batch_label: str = "",
-    n_workers: int = 1,
-) -> list[ScoreRecord]:
-    """Score many candidates raw; results do not depend on worker scheduling."""
-    if n_workers < 1:
-        raise ValueError(f"need at least one worker, got {n_workers}")
-    cells = list(cells)
-    if arch_ids is None:
-        arch_ids = [""] * len(cells)
-    arch_ids = list(arch_ids)
-    if len(arch_ids) != len(cells):
-        raise ValueError("need exactly one arch id per cell")
-
-    def job(pair):
-        cell, arch_id = pair
-        return score_cell(
-            cell,
-            assembly,
-            batch,
-            derive_seed(global_seed, cell.stable_hash()),
-            standardise=standardise,
-            arch_id=arch_id,
-            batch_label=batch_label,
-        )
-
-    work = list(zip(cells, arch_ids))
-    if n_workers == 1 or len(work) <= 1:
-        return [job(pair) for pair in work]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(job, work))

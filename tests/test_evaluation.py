@@ -390,6 +390,12 @@ class TestScoreTable:
         par = score_table(table, asm, "gauss:4x3x5x5", n_workers=4, **kwargs)
         assert seq == par
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        table = BenchmarkTable((BenchmarkEntry("a", CELL_A, 0.5), BenchmarkEntry("b", CELL_B, 0.5)))
+        with pytest.raises(ValueError, match=f"got {workers}"):
+            score_table(table, AssemblyConfig(depth=1, stem_channels=4), "gauss:4x3x5x5", n_workers=workers)
+
 
 class TestSizeHistogram:
     def test_constant_list_occupies_one_bin(self):

@@ -28,7 +28,6 @@ from swapnas.scoring import (
     parse_batch_spec,
     score_and_capture,
     score_cell,
-    score_cells,
 )
 
 CELL = CellMatrix([[0, 1, 4, 2], [0, 0, 3, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
@@ -121,25 +120,6 @@ class TestScoreCell:
             assert record.flops == count_flops(cell, cfg, batch.dims)
             expected = forward_capture(build_network(cell, cfg, 3), batch, standardise=False)
             assert np.array_equal(capture.packed_rows, expected.packed_rows)
-
-    def test_score_cells_parallel_equals_sequential(self):
-        rng = np.random.default_rng(3)
-        cells = [random_cell(4, rng) for _ in range(6)]
-        batch = gaussian_batch(6, (3, 6, 6), seed=4)
-        seq = score_cells(cells, ASSEMBLY, batch, 17, n_workers=1)
-        par = score_cells(cells, ASSEMBLY, batch, 17, n_workers=3)
-        assert seq == par
-
-    def test_score_cells_requires_matching_ids(self):
-        batch = gaussian_batch(4, (3, 6, 6), seed=4)
-        with pytest.raises(ValueError, match="arch id"):
-            score_cells([CELL], ASSEMBLY, batch, 0, arch_ids=["a", "b"])
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_score_cells_rejects_fewer_than_one_worker(self, workers):
-        batch = gaussian_batch(4, (3, 6, 6), seed=4)
-        with pytest.raises(ValueError, match=f"got {workers}"):
-            score_cells([CELL, CELL], ASSEMBLY, batch, 0, n_workers=workers)
 
 
 class TestOneAssemblyPerScore:
