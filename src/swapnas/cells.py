@@ -116,6 +116,10 @@ class CellMatrix:
         flat = " ".join(str(int(c)) for c in self.codes.ravel())
         return f"nodes = {self.n_nodes}\nmatrix = {flat}\n"
 
+    def encode_line(self) -> str:
+        """The encoding on one line, ``;`` joining its lines; :meth:`decode` reads it."""
+        return self.encode().strip().replace("\n", ";")
+
     @classmethod
     def decode(cls, text: str) -> "CellMatrix":
         """Parse the text form; ``;`` is accepted as a line separator."""
@@ -347,6 +351,8 @@ def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
         if node.kind == "input":
             channels.append(in_channels)
             continue
+        if not node.inputs:
+            raise AssemblyError(f"node {node.name} has no inputs")
         ins = {channels[i] for i in node.inputs}
         if len(ins) != 1:
             raise AssemblyError(f"node {node.name} sums inputs of differing widths {sorted(ins)}")

@@ -107,6 +107,7 @@ _OUTPUT_KEYS = {
     "resume": _parse_bool,
 }
 _SEARCH_KEYS = {*_ASSEMBLY_FIELDS, *_SEARCH_FIELDS, *_REG_FIELDS, *_OUTPUT_KEYS}
+_ASSEMBLY_FLAGS = tuple(f"--{name.replace('_', '-')}" for name in _ASSEMBLY_FIELDS)
 
 
 def _add_assembly_flags(p: argparse.ArgumentParser) -> None:
@@ -144,14 +145,20 @@ def _add_scoring_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     _add_assembly_flags(p)
 
 
-def _set_table_scoring_defaults(p: argparse.ArgumentParser, *flags: str) -> None:
-    """Keep the parser defaults of the flags ``--scores`` replaces in ``args.table_scoring``.
+def _set_replaced_defaults(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Keep in ``args.replaced`` the parser defaults of the flags an input option makes moot.
 
-    The assembly flags are among them.  A flag read from a score file in
-    place of scoring must be left at its default (see ``_records_for``).
+    When that option is given, each of those flags must be left at its
+    default (see ``_reject_replaced``).
     """
-    dests = [flag[2:].replace("-", "_") for flag in flags] + list(_ASSEMBLY_FIELDS)
-    p.set_defaults(table_scoring={dest: p.get_default(dest) for dest in dests})
+    dests = [flag[2:].replace("-", "_") for flag in flags]
+    p.set_defaults(replaced={dest: p.get_default(dest) for dest in dests})
+
+
+def _reject_replaced(args, source: str) -> None:
+    for dest, default in args.replaced.items():
+        if getattr(args, dest) != default:
+            raise UsageError(f"--{dest.replace('_', '-')} has no effect with {source}")
 
 
 def _reg_from_args(args):
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
     scoring = ("--batch", "--mu", "--sigma", "--no-standardise", "--threads")
     _add_scoring_flags(p, *scoring)
-    _set_table_scoring_defaults(p, "--seeds", "--save-scores", *scoring)
+    _set_replaced_defaults(p, "--seeds", "--save-scores", *scoring, *_ASSEMBLY_FLAGS)
 
     p = sub.add_parser("sweep", help="sweep regularisation parameters on a grid")
     p.add_argument("--truth", required=True, help="accuracy table CSV")
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
     scoring = ("--batch", "--no-standardise", "--threads")
     _add_scoring_flags(p, *scoring)
-    _set_table_scoring_defaults(p, "--seeds", *scoring)
+    _set_replaced_defaults(p, "--seeds", *scoring, *_ASSEMBLY_FLAGS)
 
     p = sub.add_parser("ablate-dims", help="compare metrics across input dimensionalities")
     p.add_argument("--dims", required=True, help="input dims CxWxH[,CxWxH...]")
@@ -205,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write rows as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
     _add_scoring_flags(p, "--seed", "--mu", "--sigma", "--no-standardise")
+    _set_replaced_defaults(p, "--cells", "--nodes")
 
     p = sub.add_parser("histogram", help="histogram of model sizes")
     p.add_argument("--truth", default=None, help="accuracy table with a size_mb column")
@@ -329,9 +337,7 @@ def _cmd_search(args) -> int:
 
 def _records_for(args, table, reg) -> list:
     if args.scores:
-        for dest, default in args.table_scoring.items():
-            if getattr(args, dest) != default:
-                raise UsageError(f"--{dest.replace('_', '-')} has no effect with --scores")
+        _reject_replaced(args, "--scores")
         return read_score_records(args.scores)
     records = score_table(
         table,
@@ -422,6 +428,7 @@ def _cmd_ablate_dims(args) -> int:
     dims = _parse_dims(args.dims)
     accuracies = None
     if args.truth:
+        _reject_replaced(args, "--truth")
         table = load_accuracy_table(args.truth)
         cells = [e.cell for e in table.entries]
         accuracies = [e.accuracy for e in table.entries]

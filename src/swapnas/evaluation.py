@@ -37,19 +37,59 @@ class TableError(ValueError):
     """An accuracy table or score file fails schema or value validation."""
 
 
-# What each numeric column of the accuracy and score files must hold.
-_VALUE_RULES = {
-    "swap": (lambda v: v >= 0, "a non-negative integer"),
-    "reg_swap": (lambda v: math.isfinite(v) and v >= 0.0, "a non-negative finite number"),
-    "size_mb": (lambda v: math.isfinite(v) and v > 0.0, "a positive finite number"),
-    "flops": (lambda v: v >= 0, "a non-negative integer"),
+# Every column of the accuracy table and the score file: its parser, the
+# rule its parsed value must hold, and the phrase reporting a value that
+# fails either.
+_COLUMNS = {
+    "arch_id": (str.strip, bool, "is empty"),
+    "cell": (CellMatrix.decode, lambda v: True, "is not a cell document"),
+    "accuracy": (float, lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
+    "size_mb": (float, lambda v: math.isfinite(v) and v > 0.0, "is not a positive finite number"),
+    "seed": (int, lambda v: True, "is not an integer"),
+    "batch": (str, lambda v: True, "is not text"),
+    "swap": (int, lambda v: v >= 0, "is not a non-negative integer"),
+    "reg_swap": (float, lambda v: math.isfinite(v) and v >= 0.0, "is not a non-negative finite number"),
+    "flops": (int, lambda v: v >= 0, "is not a non-negative integer"),
 }
 
 
-def _check_value(path, line: int, name: str, value) -> None:
-    holds, expected = _VALUE_RULES[name]
-    if not holds(value):
-        raise TableError(f"{path}: line {line}: {name} {value} is not {expected}")
+def _read_rows(path, columns: tuple[str, ...], optional: str | None = None):
+    """Yield ``(line, {column: value})`` for each non-blank row of a CSV file.
+
+    The header lists ``columns``, then ``optional`` if the file has it; a
+    blank ``optional`` field is omitted from its row.  Every other field is
+    parsed and checked by its ``_COLUMNS`` entry, and a failure names the
+    file, line, column and value.  CRLF and LF files parse identically.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise TableError(f"{path}: empty file")
+        header = tuple(h.strip() for h in header)
+        if header not in (columns, columns + (optional,)):
+            spec = ",".join(columns) + (f"[,{optional}]" if optional else "")
+            raise TableError(f"{path}: line 1: expected header {spec}, got {','.join(header)}")
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise TableError(f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
+            values = {}
+            for name, text in zip(header, row):
+                if name == optional and not text.strip():
+                    continue
+                parse, holds, phrase = _COLUMNS[name]
+                try:
+                    value = parse(text)
+                    ok = holds(value)
+                except ValueError:
+                    value, ok = text, False
+                if not ok:
+                    raise TableError(f"{path}: line {line}: {name} {value!r} {phrase}")
+                values[name] = value
+            yield line, values
 
 
 class UndefinedCorrelationError(ValueError):
@@ -98,57 +138,20 @@ class BenchmarkTable:
 def load_accuracy_table(path) -> BenchmarkTable:
     """Parse an accuracy CSV: header ``arch_id,cell,accuracy[,size_mb]``.
 
-    The ``cell`` column holds a cell document with its lines joined by
-    ``;``.  Duplicate ids, out-of-range accuracies and malformed cells are
-    rejected with the offending line number; CRLF and LF files parse
-    identically.
+    The ``cell`` column holds a cell document on one line
+    (:meth:`CellMatrix.encode_line`).  Besides the column rules of
+    ``_COLUMNS``, ids must be unique.
     """
     entries: list[BenchmarkEntry] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if tuple(header[:3]) != TABLE_COLUMNS or header[3:] not in ([], ["size_mb"]):
+    for line, values in _read_rows(path, TABLE_COLUMNS, "size_mb"):
+        arch_id = values["arch_id"]
+        if arch_id in seen:
             raise TableError(
-                f"{path}: line 1: expected header arch_id,cell,accuracy[,size_mb], got {','.join(header)}"
+                f"{path}: line {line}: duplicate arch_id {arch_id!r} (first seen on line {seen[arch_id]})"
             )
-        has_size = len(header) == 4
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TableError(f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
-            arch_id = row[0].strip()
-            if not arch_id:
-                raise TableError(f"{path}: line {line}: empty arch_id")
-            if arch_id in seen:
-                raise TableError(
-                    f"{path}: line {line}: duplicate arch_id {arch_id!r} (first seen on line {seen[arch_id]})"
-                )
-            seen[arch_id] = line
-            try:
-                cell = CellMatrix.decode(row[1])
-            except ValueError as exc:
-                raise TableError(f"{path}: line {line}: bad cell encoding: {exc}") from None
-            try:
-                accuracy = float(row[2])
-            except ValueError:
-                raise TableError(f"{path}: line {line}: non-numeric accuracy {row[2]!r}") from None
-            if not (math.isfinite(accuracy) and 0.0 <= accuracy <= 1.0):
-                raise TableError(f"{path}: line {line}: accuracy {accuracy} outside [0, 1]")
-            size_mb = None
-            if has_size and row[3].strip():
-                try:
-                    size_mb = float(row[3])
-                except ValueError:
-                    raise TableError(f"{path}: line {line}: non-numeric size_mb {row[3]!r}") from None
-                _check_value(path, line, "size_mb", size_mb)
-            entries.append(BenchmarkEntry(arch_id, cell, accuracy, size_mb))
+        seen[arch_id] = line
+        entries.append(BenchmarkEntry(**values))
     return BenchmarkTable(tuple(entries))
 
 
@@ -159,7 +162,7 @@ def write_accuracy_table(path, table: BenchmarkTable) -> None:
         header.append("size_mb")
     rows = []
     for e in table.entries:
-        row = [e.arch_id, e.cell.encode().strip().replace("\n", ";"), float(e.accuracy)]
+        row = [e.arch_id, e.cell.encode_line(), float(e.accuracy)]
         if has_size:
             row.append(None if e.size_mb is None else float(e.size_mb))
         rows.append(row)
@@ -175,37 +178,8 @@ def write_score_records(path, records) -> None:
 
 
 def read_score_records(path) -> list[ScoreRecord]:
-    records: list[ScoreRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != SCORE_COLUMNS:
-            raise TableError(f"{path}: line 1: expected header {','.join(SCORE_COLUMNS)}")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(SCORE_COLUMNS):
-                raise TableError(f"{path}: line {line}: expected {len(SCORE_COLUMNS)} columns")
-            try:
-                record = ScoreRecord(
-                    arch_id=row[0],
-                    seed=int(row[1]),
-                    batch=row[2],
-                    swap=int(row[3]),
-                    reg_swap=float(row[4]),
-                    size_mb=float(row[5]),
-                    flops=int(row[6]),
-                )
-            except ValueError as exc:
-                raise TableError(f"{path}: line {line}: {exc}") from None
-            for name in _VALUE_RULES:
-                _check_value(path, line, name, getattr(record, name))
-            records.append(record)
-    return records
+    """Parse a score CSV written by :func:`write_score_records`."""
+    return [ScoreRecord(**values) for _, values in _read_rows(path, SCORE_COLUMNS)]
 
 
 def rank_average(values) -> np.ndarray:

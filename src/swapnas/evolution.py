@@ -291,10 +291,7 @@ def save_checkpoint(path, state: _SearchState) -> None:
         "next_birth": state.next_birth,
         "trace": state.trace,
         "reg": None if state.reg is None else asdict(state.reg),
-        "population": [
-            {**vars(ind), "cell": ind.cell.encode().strip().replace("\n", ";")}
-            for ind in state.population
-        ],
+        "population": [{**vars(ind), "cell": ind.cell.encode_line()} for ind in state.population],
         "rng_state": state.rng.bit_generator.state,
     }
     atomic_write_text(path, CHECKPOINT_MAGIC + "\n" + json.dumps(body, sort_keys=True) + "\n")

@@ -227,6 +227,14 @@ class TestGraphWalkerErrors:
         with pytest.raises(AssemblyError, match="unknown node kind 'relu' at act"):
             forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
 
+    def test_node_without_inputs(self):
+        nodes = (NodeSpec("input", "input"), NodeSpec("x", "conv", (), channels_out=4, kernel=1, scored=True))
+        with pytest.raises(AssemblyError, match="node x has no inputs"):
+            trace_channels(nodes, 3)
+        net = NetworkInstance(nodes, (None, np.ones((4, 3, 1, 1))), seed=0, in_channels=3)
+        with pytest.raises(AssemblyError, match="node x has no inputs"):
+            forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
+
     def test_inputs_of_differing_widths(self):
         nodes = (
             NodeSpec("input", "input"),

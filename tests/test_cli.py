@@ -1,10 +1,8 @@
 """End-to-end tests of the command-line surface."""
 
-import os
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, write_cell_file
@@ -384,6 +382,20 @@ class TestTableScoringErrors:
         assert f"{flag[0]} has no effect with --scores" in err
         assert out == ""
 
+    def test_padded_score_ids_match_their_table_rows(self, capsys, tmp_path):
+        truth = write_table(tmp_path / "truth.csv")
+        scores = tmp_path / "scores.csv"
+        code, _, _ = run(capsys, "correlate", "--truth", truth, *TABLE_FLAGS, "--save-scores", str(scores))
+        assert code == 0
+        code, plain, _ = run(capsys, "correlate", "--truth", truth, "--scores", str(scores))
+        assert code == 0 and "n_matched=6" in plain
+        padded = tmp_path / "padded.csv"
+        header, *rows = scores.read_text().splitlines()
+        padded.write_text("".join(f"{line}\n" for line in [header, *(f"  {r.replace(',', ' ,', 1)}" for r in rows)]))
+        code, out, _ = run(capsys, "correlate", "--truth", truth, "--scores", str(padded))
+        assert code == 0
+        assert out == plain
+
     @pytest.mark.parametrize("cmd", ["correlate", "sweep", "histogram"])
     @pytest.mark.parametrize(
         "column, bad, message",
@@ -451,6 +463,16 @@ class TestAblateDims:
         )
         assert code == 0
         assert out.count("dims=") == 1
+
+    @pytest.mark.parametrize("flag", [("--cells", "3"), ("--nodes", "9")])
+    def test_random_cell_flags_rejected_with_truth(self, capsys, truth_file, flag):
+        code, out, err = run(
+            capsys, "ablate-dims", "--dims", "3x5x5", "--truth", truth_file, *flag,
+            "--batch-size", "4", "--depth", "1", "--stem-channels", "4",
+        )
+        assert code == 1
+        assert f"{flag[0]} has no effect with --truth" in err
+        assert out == ""
 
 
 class TestHistogram:

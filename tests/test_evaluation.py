@@ -2,9 +2,13 @@
 
 import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell
 from swapnas.evaluation import (
@@ -174,6 +178,85 @@ class TestScoreRecordsIO:
         path.write_text("nope\n")
         with pytest.raises(TableError):
             read_score_records(path)
+
+
+TABLE_ROW = {"arch_id": "a", "cell": cell_field(CELL_A), "accuracy": "0.5", "size_mb": "1.25"}
+SCORE_ROW = {"arch_id": "a", "seed": "0", "batch": "b", "swap": "6", "reg_swap": "6.0",
+             "size_mb": "0.002", "flops": "900"}
+
+
+def csv_text(*rows):
+    """A header from the first row's keys, then each row's values (none holds a comma)."""
+    return "".join(",".join(row) + "\n" for row in (rows[0].keys(), *(r.values() for r in rows)))
+
+
+class TestColumnRules:
+    """Both readers report a bad field as ``<path>: line N: <column> <value> <phrase>``."""
+
+    @pytest.mark.parametrize(
+        "fmt, column, bad, shown, phrase",
+        [
+            ("table", "arch_id", "   ", "''", "is empty"),
+            ("table", "cell", "nodes = 3", "'nodes = 3'", "is not a cell document"),
+            ("table", "accuracy", "high", "'high'", "outside [0, 1]"),
+            ("table", "accuracy", "-0.5", "-0.5", "outside [0, 1]"),
+            ("table", "accuracy", "nan", "nan", "outside [0, 1]"),
+            ("table", "size_mb", "big", "'big'", "is not a positive finite number"),
+            ("table", "size_mb", "-2", "-2.0", "is not a positive finite number"),
+            ("scores", "arch_id", "", "''", "is empty"),
+            ("scores", "arch_id", " ", "''", "is empty"),
+            ("scores", "seed", "x", "'x'", "is not an integer"),
+            ("scores", "seed", "1.5", "'1.5'", "is not an integer"),
+            ("scores", "swap", "many", "'many'", "is not a non-negative integer"),
+            ("scores", "swap", "-4", "-4", "is not a non-negative integer"),
+            ("scores", "reg_swap", "x", "'x'", "is not a non-negative finite number"),
+            ("scores", "reg_swap", "inf", "inf", "is not a non-negative finite number"),
+            ("scores", "size_mb", "", "''", "is not a positive finite number"),
+            ("scores", "size_mb", "0", "0.0", "is not a positive finite number"),
+            ("scores", "flops", "1e3", "'1e3'", "is not a non-negative integer"),
+            ("scores", "flops", "-1", "-1", "is not a non-negative integer"),
+        ],
+    )
+    def test_bad_field_names_path_line_and_column(self, tmp_path, fmt, column, bad, shown, phrase):
+        good, read = (TABLE_ROW, load_accuracy_table) if fmt == "table" else (SCORE_ROW, read_score_records)
+        path = tmp_path / f"{fmt}.csv"
+        path.write_text(csv_text(good, {**good, "arch_id": "b", column: bad}))
+        with pytest.raises(TableError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: line 3: {column} {shown} {phrase}"
+
+
+# Ids a writer can hand back unchanged: printable ASCII, commas and quotes
+# included, with no surrounding blanks.
+ids = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1).filter(
+    lambda s: s == s.strip()
+)
+finite = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+positive_finite = st.floats(min_value=1e-9, max_value=1e12, allow_nan=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arch_ids=st.lists(ids, min_size=1, max_size=6, unique=True),
+    accuracy=st.floats(min_value=0.0, max_value=1.0),
+    size_mb=st.none() | positive_finite,
+    seed=st.integers(-(2**63), 2**63),
+    batch=st.text(st.characters(min_codepoint=32, max_codepoint=126)),
+    swap=st.integers(0, 2**63),
+    reg_swap=finite,
+)
+def test_both_formats_round_trip(arch_ids, accuracy, size_mb, seed, batch, swap, reg_swap):
+    table = BenchmarkTable(
+        tuple(BenchmarkEntry(a, random_cell(4, i), accuracy, size_mb) for i, a in enumerate(arch_ids))
+    )
+    records = [
+        ScoreRecord(a, swap, reg_swap, size_mb or 1.0, swap + i, seed, batch) for i, a in enumerate(arch_ids)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_accuracy_table(Path(tmp) / "t.csv", table)
+        assert load_accuracy_table(Path(tmp) / "t.csv") == table
+        write_score_records(Path(tmp) / "s.csv", records)
+        assert read_score_records(Path(tmp) / "s.csv") == records
 
 
 class TestSpearman:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from swapnas import evolution
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, validate_cell
 from swapnas.evolution import (
-    Individual,
     NoEdgeError,
     SaturationError,
     SearchConfig,
