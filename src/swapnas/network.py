@@ -184,11 +184,15 @@ def build_mlp(
     return network_from_nodes(tuple(nodes), seed, in_features)
 
 
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad both spatial axes."""
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+
+
 def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Strided kernel x kernel windows of the zero-padded map: (S, C, W', H', k, k)."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    return sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    windows = sliding_window_view(_pad(x, padding), (kernel, kernel), axis=(2, 3))
+    return windows[:, :, ::stride, ::stride]
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -197,7 +201,24 @@ def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarr
 
 
 def _avg_pool(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    return _windows(x, kernel, stride, padding).mean(axis=(4, 5))
+    x = _pad(x, padding)
+    # Same bytes as the window mean, which sums each window's 3-tap rows and
+    # then the three row sums, starting from +0.0 (so ``+= 0.0`` turns a
+    # -0.0 sum into +0.0 before the division).  numpy keeps that order only
+    # on a C-contiguous map with an output height above 1; elsewhere it
+    # merges or reorders the window axes, so the window mean runs instead.
+    # The property test in tests/test_network.py checks this guard.
+    if kernel == 3 and stride == 1 and x.shape[3] > 3 and x.flags.c_contiguous:
+        w, h = x.shape[2] - 2, x.shape[3] - 2
+        rows = x[..., :h] + x[..., 1 : h + 1]
+        rows += x[..., 2:]
+        del x  # free the padded copy before the output is allocated
+        out = rows[:, :, :w] + rows[:, :, 1 : w + 1]
+        out += rows[:, :, 2:]
+        out += 0.0
+        out /= 9
+        return out
+    return _windows(x, kernel, stride, 0).mean(axis=(4, 5))
 
 
 def _standardise(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

@@ -16,6 +16,7 @@ from swapnas.metric import (
     binarise_indicator,
     regularisation_factor,
     regularised_swap_score,
+    _distinct_row_count,
     standard_pattern_cardinality,
     swap_score,
 )
@@ -204,9 +205,10 @@ def bit_matrices(draw):
     """0/1 matrices with repeated rows and columns.
 
     S is drawn both as a multiple of 8 and not, and V and S both reach past
-    64, so packed rows come narrower and wider than one 8-byte word.
+    64.  The sampled S give packed rows of every native key width (1, 2, 4
+    and 8 bytes) and of widths with no native key (3, 5, 9 and 10 bytes).
     """
-    s = draw(st.one_of(st.sampled_from([8, 16, 64, 72, 80]), st.integers(1, 90)))
+    s = draw(st.one_of(st.sampled_from([8, 16, 32, 64, 24, 40, 72, 80]), st.integers(1, 90)))
     v = draw(st.integers(1, 90))
     n_rows = draw(st.integers(1, v))
     n_cols = draw(st.integers(1, s))
@@ -221,7 +223,19 @@ def counts(bits: np.ndarray) -> tuple[int, int]:
     return swap_score(cap), standard_pattern_cardinality(cap)
 
 
+def void_row_count(packed: np.ndarray) -> int:
+    """Distinct rows by np.unique of one void item per row, the wide-row path."""
+    return int(np.unique(packed.view(np.dtype((np.void, packed.shape[1])))).size)
+
+
 class TestCounterProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(bit_matrices())
+    def test_native_key_count_matches_void_view_count(self, bits):
+        for matrix in (bits, bits.T):
+            packed = ActivationCapture.from_bits(matrix).packed_rows
+            assert _distinct_row_count(packed) == void_row_count(packed)
+
     @settings(max_examples=150, deadline=None)
     @given(bit_matrices())
     def test_counts_match_naive_oracle(self, bits):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swapnas.cells import AssemblyConfig, CellMatrix, NodeSpec, ShapeError, random_cell
 from swapnas.metric import standard_pattern_cardinality, swap_score
@@ -9,6 +12,8 @@ from swapnas.network import (
     InputBatch,
     NetworkInstance,
     NumericOverflowError,
+    _avg_pool,
+    _windows,
     build_mlp,
     build_network,
     forward_capture,
@@ -205,6 +210,62 @@ class TestForwardCapture:
             forward_capture(broken, gaussian_batch(2, (3, 6, 6), seed=1), standardise=False)
 
 
+@st.composite
+def pool_inputs(draw):
+    """(map, padding) pairs for a 3x3 stride-1 average pool.
+
+    Output widths and heights reach down to 1.  Maps come C-contiguous,
+    NHWC-strided (a conv output is a (0, 3, 1, 2) transpose view) and
+    Fortran-ordered, with signed or post-ReLU values; zeros of both signs
+    are common because hypothesis fills most of each array with one value.
+    """
+    padding = draw(st.integers(0, 1))
+    s, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    w, h = draw(st.integers(3 - 2 * padding, 9)), draw(st.integers(3 - 2 * padding, 9))
+    layout = draw(st.sampled_from(["nchw", "nhwc", "fortran"]))
+    values = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
+    if layout == "nhwc":
+        x = draw(arrays(np.float64, (s, w, h, c), elements=values)).transpose(0, 3, 1, 2)
+    else:
+        x = draw(arrays(np.float64, (s, c, w, h), elements=values))
+        if layout == "fortran":
+            x = np.asfortranarray(x)
+    if draw(st.booleans()):
+        x = np.maximum(x, 0.0)  # keeps the layout, and -0.0, as a ReLU does
+    return x, padding
+
+
+class TestAvgPool:
+    @settings(max_examples=400, deadline=None)
+    @given(pool_inputs())
+    def test_matches_the_window_mean_bytewise(self, case):
+        # The separable 3x3 sum may run only where it gives the window
+        # mean's exact bytes; this test is what defines that guard.
+        x, padding = case
+        want = _windows(x, 3, 1, padding).mean(axis=(4, 5))
+        got = _avg_pool(x, 3, 1, padding)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def cells_with_batches(draw):
+    """Small random cell stacks, with reductions and heads, and a batch for each."""
+    cell = random_cell(draw(st.integers(2, 5)), draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 3))
+    assembly = AssemblyConfig(
+        depth=depth,
+        stem_channels=draw(st.integers(1, 4)),
+        reductions=tuple(draw(st.lists(st.integers(0, depth - 1), unique=True).map(sorted))),
+        head=draw(st.booleans()),
+        head_units=draw(st.integers(1, 5)),
+    )
+    channels = draw(st.integers(1, 3))
+    net = build_network(cell, assembly, seed=draw(st.integers(0, 2**32 - 1)), in_channels=channels)
+    dims = (channels, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    return net, gaussian_batch(draw(st.integers(1, 6)), dims, seed=draw(st.integers(0, 2**32 - 1)))
+
+
 class TestScaleInvariance:
     def scale_node(self, net: NetworkInstance, name: str, factor: float) -> NetworkInstance:
         weights = list(net.weights)
@@ -234,6 +295,21 @@ class TestScaleInvariance:
             b = forward_capture(scaled, batch, standardise=False)
             assert np.array_equal(a.packed_rows, b.packed_rows)
             assert swap_score(a) == swap_score(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells_with_batches(), st.integers(-4, 4))
+    def test_scaling_the_batch_by_a_power_of_two_preserves_bits(self, case, k):
+        # Every layer is positively homogeneous without standardisation, and
+        # a power of two scales each product, sum and /9 exactly, so the
+        # captures must match byte for byte.  Scaling the batch keeps the
+        # summed edges of a cell in proportion; scaling one interior conv
+        # would not.
+        net, batch = case
+        scaled = InputBatch(batch.data * 2.0**k)
+        a = forward_capture(net, batch, standardise=False)
+        b = forward_capture(net, scaled, standardise=False)
+        assert a.packed_rows.shape == b.packed_rows.shape
+        assert a.packed_rows.tobytes() == b.packed_rows.tobytes()
 
     def test_standardisation_breaks_the_identity_visibly(self):
         # Not an invariance: standardised captures are allowed to differ when
