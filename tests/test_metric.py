@@ -13,10 +13,10 @@ from swapnas.metric import (
     ContractViolationError,
     RegularisationParams,
     ScoreRecord,
+    _distinct_row_count,
     binarise_indicator,
     regularisation_factor,
     regularised_swap_score,
-    _distinct_row_count,
     standard_pattern_cardinality,
     swap_score,
 )
