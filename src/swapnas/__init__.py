@@ -58,7 +58,6 @@ from .metric import (
     ContractViolationError,
     RegularisationParams,
     ScoreRecord,
-    binarise_indicator,
     regularisation_factor,
     regularised_swap_score,
     standard_pattern_cardinality,

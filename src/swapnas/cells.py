@@ -192,12 +192,6 @@ def validate_cell(cell: CellMatrix) -> list[str]:
     return violations
 
 
-def assert_valid_cell(cell: CellMatrix) -> None:
-    violations = validate_cell(cell)
-    if violations:
-        raise CellValidationError(violations)
-
-
 def random_cell(n_nodes: int, rng) -> CellMatrix:
     """Draw a valid random cell.
 
@@ -234,7 +228,10 @@ class AssemblyConfig:
     ``reductions`` lists cell indices that are preceded by a stride-2
     channel-doubling convolution.  Every cell runs at the width of the
     feature map it receives.  The optional head is a global average pool
-    followed by a linear layer.
+    followed by a linear layer.  ``standardise`` models the network's
+    normalisation layers: each scored layer's pre-activations are
+    standardised per channel over the batch, as batch norm does at
+    initialisation.
     """
 
     depth: int = 3
@@ -242,6 +239,7 @@ class AssemblyConfig:
     reductions: tuple[int, ...] = ()
     head: bool = False
     head_units: int = 10
+    standardise: bool = True
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -307,7 +305,9 @@ def assemble_descriptor(
     convs at the configured indices, then the optional head.  The flattening
     is deterministic: edges are emitted in (target, source) order.
     """
-    assert_valid_cell(cell)
+    violations = validate_cell(cell)
+    if violations:
+        raise CellValidationError(violations)
     n = cell.n_nodes
     nodes: list[NodeSpec] = [NodeSpec("input", "input")]
     width = cfg.stem_channels

@@ -83,6 +83,7 @@ _ASSEMBLY_FIELDS = {
     "reductions": _parse_indices,
     "head": _parse_bool,
     "head_units": int,
+    "standardise": _parse_bool,
 }
 _SEARCH_FIELDS = {
     "population": int,
@@ -94,7 +95,6 @@ _SEARCH_FIELDS = {
     "seed": int,
     "batch": str,
     "nodes": int,
-    "standardise": _parse_bool,
 }
 # Explicit bell parameters; together they override ``reg``.
 _REG_FIELDS = {"mu": float, "sigma": float}
@@ -107,20 +107,24 @@ _OUTPUT_KEYS = {
     "resume": _parse_bool,
 }
 _SEARCH_KEYS = {*_ASSEMBLY_FIELDS, *_SEARCH_FIELDS, *_REG_FIELDS, *_OUTPUT_KEYS}
-_ASSEMBLY_FLAGS = tuple(f"--{name.replace('_', '-')}" for name in _ASSEMBLY_FIELDS)
 
 
-def _add_assembly_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per ``AssemblyConfig`` field, defaulting to the field's default."""
+def _add_assembly_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    """One flag per ``AssemblyConfig`` field, defaulting to the field's default.
+
+    ``standardise`` is the exception: its flag is the scoring flag ``--no-standardise``.
+    """
     defaults = AssemblyConfig
-    p.add_argument("--depth", type=int, default=defaults.depth, help="number of stacked cell copies")
-    p.add_argument("--stem-channels", type=int, default=defaults.stem_channels, help="channels after the stem conv")
-    p.add_argument(
-        "--reductions", type=_parse_indices, default=defaults.reductions,
-        help="comma-separated cell indices preceded by a stride-2 reduction",
-    )
-    p.add_argument("--head", action="store_true", default=defaults.head, help="append a global-pool + linear head")
-    p.add_argument("--head-units", type=int, default=defaults.head_units, help="output units of the head")
+    return [
+        p.add_argument("--depth", type=int, default=defaults.depth, help="number of stacked cell copies"),
+        p.add_argument("--stem-channels", type=int, default=defaults.stem_channels, help="channels after the stem conv"),
+        p.add_argument(
+            "--reductions", type=_parse_indices, default=defaults.reductions,
+            help="comma-separated cell indices preceded by a stride-2 reduction",
+        ),
+        p.add_argument("--head", action="store_true", default=defaults.head, help="append a global-pool + linear head"),
+        p.add_argument("--head-units", type=int, default=defaults.head_units, help="output units of the head"),
+    ]
 
 
 def _assembly_from_args(args) -> AssemblyConfig:
@@ -132,33 +136,32 @@ _SCORING_FLAGS = {
     "--seed": dict(type=int, default=0, help="global random seed"),
     "--mu": dict(type=float, default=None, help="regularisation centre (model size)"),
     "--sigma": dict(type=float, default=None, help="regularisation width"),
-    "--no-standardise": dict(action="store_true", help="disable per-channel pre-activation standardisation"),
+    "--no-standardise": dict(
+        action="store_false", dest="standardise", help="disable per-channel pre-activation standardisation"
+    ),
     "--threads": dict(type=int, default=1, help="worker cap for per-architecture scoring"),
 }
 
 
-def _add_scoring_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+def _add_scoring_flags(p: argparse.ArgumentParser, *flags: str) -> list[argparse.Action]:
     """Add the named scoring flags (in ``_SCORING_FLAGS`` order) and the assembly flags."""
-    for flag, kwargs in _SCORING_FLAGS.items():
-        if flag in flags:
-            p.add_argument(flag, **kwargs)
-    _add_assembly_flags(p)
+    added = [p.add_argument(flag, **kwargs) for flag, kwargs in _SCORING_FLAGS.items() if flag in flags]
+    return added + _add_assembly_flags(p)
 
 
-def _set_replaced_defaults(p: argparse.ArgumentParser, *flags: str) -> None:
-    """Keep in ``args.replaced`` the parser defaults of the flags an input option makes moot.
+def _set_replaced_defaults(p: argparse.ArgumentParser, *actions: argparse.Action) -> None:
+    """Keep in ``args.replaced`` the flag and default of each option an input option makes moot.
 
-    When that option is given, each of those flags must be left at its
-    default (see ``_reject_replaced``).
+    When that input option is given, each of these options must be left at
+    its default (see ``_reject_replaced``).
     """
-    dests = [flag[2:].replace("-", "_") for flag in flags]
-    p.set_defaults(replaced={dest: p.get_default(dest) for dest in dests})
+    p.set_defaults(replaced={a.dest: (a.option_strings[0], a.default) for a in actions})
 
 
 def _reject_replaced(args, source: str) -> None:
-    for dest, default in args.replaced.items():
+    for dest, (flag, default) in args.replaced.items():
         if getattr(args, dest) != default:
-            raise UsageError(f"--{dest.replace('_', '-')} has no effect with {source}")
+            raise UsageError(f"{flag} has no effect with {source}")
 
 
 def _reg_from_args(args):
@@ -184,35 +187,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="correlate scores with ground-truth accuracies")
     p.add_argument("--truth", required=True, help="accuracy table CSV")
     p.add_argument("--scores", default=None, help="precomputed score CSV; omit to score the table's cells")
-    p.add_argument("--seeds", type=int, default=5, help="seed groups when scoring the table directly")
-    p.add_argument("--save-scores", default=None, help="write freshly computed scores to this CSV")
+    seeds = p.add_argument("--seeds", type=int, default=5, help="seed groups when scoring the table directly")
+    save = p.add_argument("--save-scores", default=None, help="write freshly computed scores to this CSV")
     p.add_argument("--out", default=None, help="write the per-seed report as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
-    scoring = ("--batch", "--mu", "--sigma", "--no-standardise", "--threads")
-    _add_scoring_flags(p, *scoring)
-    _set_replaced_defaults(p, "--seeds", "--save-scores", *scoring, *_ASSEMBLY_FLAGS)
+    scoring = _add_scoring_flags(p, "--batch", "--mu", "--sigma", "--no-standardise", "--threads")
+    _set_replaced_defaults(p, seeds, save, *scoring)
 
     p = sub.add_parser("sweep", help="sweep regularisation parameters on a grid")
     p.add_argument("--truth", required=True, help="accuracy table CSV")
     p.add_argument("--scores", default=None, help="precomputed score CSV; omit to score the table's cells")
     p.add_argument("--grid", required=True, help="grid points MU:SIGMA[,MU:SIGMA...]")
-    p.add_argument("--seeds", type=int, default=1, help="seed groups when scoring the table directly")
+    seeds = p.add_argument("--seeds", type=int, default=1, help="seed groups when scoring the table directly")
     p.add_argument("--out", default=None, help="write the sweep as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
-    scoring = ("--batch", "--no-standardise", "--threads")
-    _add_scoring_flags(p, *scoring)
-    _set_replaced_defaults(p, "--seeds", *scoring, *_ASSEMBLY_FLAGS)
+    scoring = _add_scoring_flags(p, "--batch", "--no-standardise", "--threads")
+    _set_replaced_defaults(p, seeds, *scoring)
 
     p = sub.add_parser("ablate-dims", help="compare metrics across input dimensionalities")
     p.add_argument("--dims", required=True, help="input dims CxWxH[,CxWxH...]")
-    p.add_argument("--cells", type=int, default=100, help="number of random cells when no table is given")
-    p.add_argument("--nodes", type=int, default=4, help="cell node count for random cells")
+    cells = p.add_argument("--cells", type=int, default=100, help="number of random cells when no table is given")
+    nodes = p.add_argument("--nodes", type=int, default=4, help="cell node count for random cells")
     p.add_argument("--batch-size", type=int, default=32, help="samples per synthetic batch")
     p.add_argument("--truth", default=None, help="accuracy table; its cells replace random ones")
     p.add_argument("--out", default=None, help="write rows as CSV")
     p.add_argument("--plot", default=None, help="write (series,x,y) plot data")
     _add_scoring_flags(p, "--seed", "--mu", "--sigma", "--no-standardise")
-    _set_replaced_defaults(p, "--cells", "--nodes")
+    _set_replaced_defaults(p, cells, nodes)
 
     p = sub.add_parser("histogram", help="histogram of model sizes")
     p.add_argument("--truth", default=None, help="accuracy table with a size_mb column")
@@ -226,23 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_score(args) -> int:
     cell = read_cell_file(args.cell)
     batch = make_batch(args.batch, derive_seed(args.seed, BATCH_SALT))
-    record, capture = score_and_capture(
-        cell,
-        _assembly_from_args(args),
-        batch,
-        derive_seed(args.seed, cell.stable_hash()),
-        _reg_from_args(args),
-        standardise=not args.no_standardise,
-        arch_id="cell",
-        batch_label=args.batch,
-    )
+    seed = derive_seed(args.seed, cell.stable_hash())
+    record, capture = score_and_capture(cell, _assembly_from_args(args), batch, seed, _reg_from_args(args))
     print(f"swap_score={record.swap}")
     print(f"reg_swap_score={_fmt(record.reg_swap)}")
     print(f"theta_mb={_fmt(record.size_mb)}")
     print(f"flops={record.flops}")
     print(f"n_values={capture.n_values}")
     if args.out:
-        write_score_records(args.out, [replace(record, seed=args.seed)])
+        write_score_records(args.out, [replace(record, arch_id="cell", seed=args.seed, batch=args.batch)])
     return 0
 
 
@@ -345,7 +338,6 @@ def _records_for(args, table, reg) -> list:
         args.batch,
         n_seeds=args.seeds,
         reg=reg,
-        standardise=not args.no_standardise,
         n_workers=args.threads,
     )
     if getattr(args, "save_scores", None):
@@ -442,7 +434,6 @@ def _cmd_ablate_dims(args) -> int:
         assembly=_assembly_from_args(args),
         seed=args.seed,
         reg=_reg_from_args(args) or "auto",
-        standardise=not args.no_standardise,
         accuracies=accuracies,
     )
     csv_rows = []

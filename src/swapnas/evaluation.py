@@ -342,7 +342,6 @@ def score_table(
     *,
     n_seeds: int = 5,
     reg: RegularisationParams | str | None = "auto",
-    standardise: bool = True,
     n_workers: int = 1,
 ) -> list[ScoreRecord]:
     """Score a table's architectures under the multi-seed protocol.
@@ -367,12 +366,9 @@ def score_table(
 
     def score(job) -> ScoreRecord:
         entry, seed, batch = job
-        record = score_cell(
-            entry.cell, assembly, batch, derive_seed(seed, entry.cell.stable_hash()),
-            standardise=standardise, arch_id=entry.arch_id, batch_label=batch_spec,
-        )
+        record = score_cell(entry.cell, assembly, batch, derive_seed(seed, entry.cell.stable_hash()))
         # The record carries the derived weight seed; reports group by protocol seed.
-        return replace(record, seed=seed)
+        return replace(record, arch_id=entry.arch_id, seed=seed, batch=batch_spec)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         records = list(pool.map(score, jobs))
@@ -424,7 +420,6 @@ def input_dim_ablation(
     assembly: AssemblyConfig,
     seed: int = 0,
     reg: RegularisationParams | str | None = "auto",
-    standardise: bool = True,
     accuracies=None,
 ) -> list[AblationRow]:
     """Compare pattern cardinalities across input dimensionalities.
@@ -453,10 +448,7 @@ def input_dim_ablation(
         records: list[ScoreRecord] = []
         standard_vals: list[float] = []
         for cell in cells:
-            record, capture = score_and_capture(
-                cell, assembly, batch, derive_seed(seed, cell.stable_hash()),
-                standardise=standardise,
-            )
+            record, capture = score_and_capture(cell, assembly, batch, derive_seed(seed, cell.stable_hash()))
             records.append(record)
             standard_vals.append(float(standard_pattern_cardinality(capture)))
         if reg == "auto":

@@ -11,10 +11,11 @@ seed XOR its cell digest, which makes whole runs reproducible and
 individual scores recomputable.
 
 Because a score is recomputable from the cell and the run's constants
-(seed, batch, assembly, standardisation), a run scores each distinct cell
-once and answers every repeat from an in-memory memo of raw records.  The
-memo is not checkpointed: a resumed run rebuilds it, which changes how
-often cells are scored but no result.
+(seed, batch, and the assembly, which also holds the standardisation
+switch), a run scores each distinct cell once and answers every repeat
+from an in-memory memo of raw records.  The memo is not checkpointed: a
+resumed run rebuilds it, which changes how often cells are scored but no
+result.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .evaluation import atomic_write_text, estimate_mu_sigma
 from .metric import RegularisationParams, ScoreRecord
 from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_cell
 
-CHECKPOINT_MAGIC = "SWAPCKPT 2"
+CHECKPOINT_MAGIC = "SWAPCKPT 3"
 
 
 class NoEdgeError(ValueError):
@@ -123,7 +124,6 @@ class SearchConfig:
     batch: str = DEFAULT_BATCH
     nodes: int = 4
     assembly: AssemblyConfig = field(default_factory=AssemblyConfig)
-    standardise: bool = True
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -204,13 +204,8 @@ class _SearchState:
         self.evaluations += 1
         record = self.scored.get(cell)
         if record is None:
-            record = self.scored[cell] = score_cell(
-                cell,
-                self.cfg.assembly,
-                self.batch,
-                derive_seed(self.cfg.seed, cell.stable_hash()),
-                standardise=self.cfg.standardise,
-            )
+            seed = derive_seed(self.cfg.seed, cell.stable_hash())
+            record = self.scored[cell] = score_cell(cell, self.cfg.assembly, self.batch, seed)
         return record
 
     def individual(self, cell: CellMatrix, record: ScoreRecord) -> Individual:

@@ -22,20 +22,6 @@ class ContractViolationError(ValueError):
     """An argument breaks a documented precondition."""
 
 
-def binarise_indicator(x: float) -> int:
-    """Activation bit of a post-ReLU value: 1 if positive, else 0.
-
-    Any positive value maps to 1, however small; there is no epsilon
-    threshold.  Negative inputs are rejected because values behind a ReLU
-    cannot be negative.
-    """
-    if not math.isfinite(x):
-        raise ContractViolationError(f"post-activation value must be finite, got {x!r}")
-    if x < 0:
-        raise ContractViolationError(f"post-activation value must be non-negative, got {x!r}")
-    return 1 if x > 0 else 0
-
-
 def pack_bit_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a (values x samples) 0/1 block into row-packed bytes."""
     return np.packbits(np.asarray(bits).astype(np.uint8, copy=False), axis=1)

@@ -6,11 +6,12 @@ random weights: zero-mean Gaussians scaled by fan-in, in the shapes
 pass each node only computes its output; a dense layer's output is an
 (S, units, 1, 1) map, so every node that feeds a ReLU (``scored``) then
 takes the same step: an optional per-channel batch standardisation, the
-sign bit of every value packed into the capture, and the ReLU.  Raw
-activations are dropped as soon as their last consumer has run.  The
-standardisation emulates normalisation layers at initialisation; it must
-be switched off when testing the positive-scale sign invariance of plain
-convolution chains.
+bit ``value > 0`` of every value packed into the capture, and the ReLU.
+Raw activations are dropped as soon as their last consumer has run.  The
+standardisation emulates normalisation layers at initialisation, so the
+scorer takes it from ``AssemblyConfig.standardise``; ``forward_capture``
+takes it as its own keyword.  It must be switched off when testing the
+positive-scale sign invariance of plain convolution chains.
 """
 
 from __future__ import annotations

@@ -61,28 +61,25 @@ def score_and_capture(
     batch: InputBatch,
     weight_seed: int,
     reg: RegularisationParams | None = None,
-    *,
-    standardise: bool = True,
-    arch_id: str = "",
-    batch_label: str = "",
 ) -> tuple[ScoreRecord, ActivationCapture]:
     """Score one architecture on one batch and keep the activation capture.
 
     The cell is assembled once; size and FLOP counts come from the same
     node graph the forward pass runs.  ``reg_swap`` is the raw score under
-    the bell ``reg`` (see :meth:`ScoreRecord.regularised`).
+    the bell ``reg`` (see :meth:`ScoreRecord.regularised`).  The record's
+    ``arch_id`` and ``batch`` labels are left empty for the caller to set.
     """
     net = build_network(cell, assembly, weight_seed, in_channels=batch.channels)
-    capture = forward_capture(net, batch, standardise=standardise)
+    capture = forward_capture(net, batch, standardise=assembly.standardise)
     raw = swap_score(capture)
     record = ScoreRecord(
-        arch_id=arch_id,
+        arch_id="",
         swap=raw,
         reg_swap=float(raw),
         size_mb=params_to_megabytes(graph_parameters(net.nodes, batch.channels)),
         flops=graph_macs(net.nodes, batch.dims),
         seed=weight_seed,
-        batch=batch_label,
+        batch="",
     )
     return record.regularised(reg), capture
 
@@ -93,21 +90,6 @@ def score_cell(
     batch: InputBatch,
     weight_seed: int,
     reg: RegularisationParams | None = None,
-    *,
-    standardise: bool = True,
-    arch_id: str = "",
-    batch_label: str = "",
 ) -> ScoreRecord:
     """Score one architecture on one batch (see :func:`score_and_capture`)."""
-    record, _ = score_and_capture(
-        cell,
-        assembly,
-        batch,
-        weight_seed,
-        reg,
-        standardise=standardise,
-        arch_id=arch_id,
-        batch_label=batch_label,
-    )
-    return record
-
+    return score_and_capture(cell, assembly, batch, weight_seed, reg)[0]

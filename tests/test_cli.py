@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 from dataclasses import fields
 from pathlib import Path
 
@@ -231,6 +232,28 @@ class TestSearchCommand:
         assert "mutation_times" not in err
         assert summary.read_bytes() == before
 
+    def test_resume_rejects_a_config_that_differs_only_in_standardise(self, capsys, tmp_path):
+        base = dict(checkpoint=str(tmp_path / "search.ckpt"), resume="true")
+        assert main(["search", "--config", self.write_config(tmp_path, **base)]) == 0
+        capsys.readouterr()
+        changed = self.write_config(tmp_path, **base, standardise="false")
+        code, out, err = run(capsys, "search", "--config", changed)
+        assert code == 1
+        assert err.endswith("differs from checkpoint " + base["checkpoint"] + " in: standardise\n")
+        assert out == ""
+
+    def test_version_2_checkpoint_rejected(self, capsys, tmp_path):
+        ckpt = tmp_path / "search.ckpt"
+        cfg = self.write_config(tmp_path, checkpoint=str(ckpt), resume="true")
+        assert main(["search", "--config", cfg]) == 0
+        capsys.readouterr()
+        _, body = ckpt.read_text().split("\n", 1)
+        ckpt.write_text("SWAPCKPT 2\n" + body)
+        code, out, err = run(capsys, "search", "--config", cfg)
+        assert code == 1
+        assert "not a SWAPCKPT 3 checkpoint: 'SWAPCKPT 2'" in err
+        assert out == ""
+
     def test_resumed_summary_matches_the_uninterrupted_run(self, capsys, tmp_path):
         full = tmp_path / "full.txt"
         assert main(["search", "--config", self.write_config(tmp_path, out_summary=str(full))]) == 0
@@ -257,6 +280,14 @@ class TestSearchCommand:
         assert resumed.read_bytes() == full.read_bytes()
 
 
+# Required arguments of each command that scores cells; all else is left at its default.
+SCORING_COMMANDS = {
+    "score": ("--cell", "c.cell"),
+    "correlate": ("--truth", "t.csv"),
+    "sweep": ("--truth", "t.csv", "--grid", "1:1"),
+    "ablate-dims": ("--dims", "3x4x4"),
+}
+
 # Config-file keys that name run outputs rather than SearchConfig fields.
 OUTPUT_KEYS = {"out_cell", "out_trace", "out_summary", "checkpoint", "checkpoint_every", "resume"}
 
@@ -278,6 +309,50 @@ class TestConfigSingleSource:
         args = cli.build_parser().parse_args(["score", "--cell", "c.cell"])
         assert cli._assembly_from_args(args) == AssemblyConfig()
         assert args.batch == SearchConfig().batch
+
+    @pytest.mark.parametrize("cmd", sorted(SCORING_COMMANDS))
+    def test_every_assembly_field_is_an_option_dest(self, cmd):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[cmd]._actions if a.option_strings}
+        assert {f.name for f in fields(AssemblyConfig)} <= dests
+        args = parser.parse_args([cmd, *SCORING_COMMANDS[cmd]])
+        assert cli._assembly_from_args(args) == AssemblyConfig()
+
+
+class TestStandardisationReachesTheScore:
+    """Switching standardisation off changes each command's output; it is never ignored."""
+
+    @pytest.mark.parametrize("name", ["score_plain", "ablate_dims_random"])
+    def test_stdout(self, capsys, cell_file, name):
+        argv = [a.format(cell=cell_file) for a in OUTPUT_CASES[name]]
+        code, default, _ = run(capsys, *argv)
+        assert code == 0
+        code, raw, _ = run(capsys, *argv, "--no-standardise")
+        assert code == 0
+        assert raw != default
+
+    def test_correlate_saved_scores(self, capsys, tmp_path):
+        truth = write_table(tmp_path / "truth.csv")
+        saved = []
+        for extra in ((), ("--no-standardise",)):
+            scores = tmp_path / f"scores{len(saved)}.csv"
+            code, _, _ = run(
+                capsys, "correlate", "--truth", truth, *TABLE_FLAGS, *extra, "--save-scores", str(scores)
+            )
+            assert code == 0
+            saved.append(scores.read_text())
+        assert saved[0] != saved[1]
+
+    def test_search_config(self, capsys, tmp_path):
+        outputs = []
+        for extra in ({}, {"standardise": "false"}):
+            cfg = tmp_path / "search.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**SEARCH_BASE, **extra}.items()))
+            code, out, _ = run(capsys, "search", "--config", str(cfg))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] != outputs[1]
 
 
 class TestCorrelate:
@@ -371,7 +446,9 @@ class TestTableScoringErrors:
         assert out == ""
 
     @pytest.mark.parametrize("cmd", [("correlate",), ("sweep", "--grid", "1:1")])
-    @pytest.mark.parametrize("flag", [("--threads", "0"), ("--seeds", "3")])
+    @pytest.mark.parametrize(
+        "flag", [("--threads", "0"), ("--seeds", "3"), ("--no-standardise",), ("--depth", "2")]
+    )
     def test_scoring_flag_with_precomputed_scores_rejected(self, capsys, tmp_path, cmd, flag):
         truth = write_table(tmp_path / "truth.csv")
         scores = tmp_path / "scores.csv"

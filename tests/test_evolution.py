@@ -205,7 +205,6 @@ class TestSearchLoop:
             batch_for_config(cfg),
             derive_seed(cfg.seed, best.cell.stable_hash()),
             result.reg,
-            standardise=cfg.standardise,
         )
         assert again.reg_swap == best.score
         assert again.swap == best.swap
@@ -331,6 +330,7 @@ def assemblies(draw):
         reductions=tuple(reductions),
         head=draw(st.booleans()),
         head_units=draw(st.integers(1, 100)),
+        standardise=draw(st.booleans()),
     )
 
 
@@ -352,7 +352,6 @@ def search_configs(draw):
         batch=draw(st.sampled_from([SMALL_BATCH, "gauss:32x3x32x32", "batch.tensor"])),
         nodes=draw(st.integers(2, 8)),
         assembly=draw(assemblies()),
-        standardise=draw(st.booleans()),
     )
 
 

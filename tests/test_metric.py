@@ -14,7 +14,6 @@ from swapnas.metric import (
     RegularisationParams,
     ScoreRecord,
     _distinct_row_count,
-    binarise_indicator,
     regularisation_factor,
     regularised_swap_score,
     standard_pattern_cardinality,
@@ -29,26 +28,6 @@ def naive_row_count(bits: np.ndarray) -> int:
 
 def naive_col_count(bits: np.ndarray) -> int:
     return naive_row_count(np.asarray(bits).T)
-
-
-class TestBinariseIndicator:
-    def test_zero_stays_zero(self):
-        assert binarise_indicator(0.0) == 0
-
-    def test_positive_maps_to_one(self):
-        assert binarise_indicator(3.7) == 1
-
-    def test_no_epsilon_threshold(self):
-        # Underflow-small positives still count as active.
-        assert binarise_indicator(1e-300) == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ContractViolationError):
-            binarise_indicator(-0.1)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ContractViolationError):
-            binarise_indicator(float("nan"))
 
 
 class TestActivationCapture:

@@ -170,6 +170,18 @@ class TestForwardCapture:
             cap = forward_capture(zeroed, batch, standardise=standardise)
             assert not cap.bits().any()
 
+    def test_tiny_positive_pre_activation_records_bit_one(self):
+        # The capture's rule is ``value > 0``, with no epsilon threshold.
+        net = build_mlp(1, [1], seed=0)
+        ones = NetworkInstance(
+            net.nodes,
+            tuple(None if w is None else np.ones_like(w) for w in net.weights),
+            net.seed,
+            net.in_channels,
+        )
+        batch = InputBatch(np.array([1e-300, 0.0, -1e-300]).reshape(3, 1, 1, 1))
+        assert forward_capture(ones, batch, standardise=False).bits().tolist() == [[1, 0, 0]]
+
     def test_identical_samples_make_constant_rows(self):
         cfg = AssemblyConfig(depth=1, stem_channels=4)
         net = build_network(CELL, cfg, seed=3)

@@ -93,9 +93,10 @@ class TestScoreCell:
     def test_record_fields_consistent(self):
         batch = gaussian_batch(8, (3, 6, 6), seed=2)
         params = RegularisationParams(mu=0.5, sigma=0.5)
-        record = score_cell(CELL, ASSEMBLY, batch, 9, params, arch_id="x", batch_label="b")
-        assert record.arch_id == "x"
-        assert record.batch == "b"
+        record = score_cell(CELL, ASSEMBLY, batch, 9, params)
+        # Labels are the caller's to set; the scorer leaves them empty.
+        assert record.arch_id == ""
+        assert record.batch == ""
         assert record.seed == 9
         assert 1 <= record.swap
         assert record.reg_swap <= record.swap
@@ -107,15 +108,15 @@ class TestScoreCell:
         assert record.reg_swap == float(record.swap)
 
     def test_one_assembly_gives_the_wrapper_sizes_and_capture(self, assemble_calls):
-        cfg = AssemblyConfig(depth=3, stem_channels=4, reductions=(1,), head=True)
+        cfg = AssemblyConfig(depth=3, stem_channels=4, reductions=(1,), head=True, standardise=False)
         batch = gaussian_batch(5, (3, 9, 7), seed=1)
         rng = np.random.default_rng(5)
         for _ in range(4):
             cell = random_cell(4, rng)
             assemble_calls.clear()
-            record, capture = score_and_capture(cell, cfg, batch, 3, standardise=False)
+            record, capture = score_and_capture(cell, cfg, batch, 3)
             assert len(assemble_calls) == 1
-            assert record == score_cell(cell, cfg, batch, 3, standardise=False)
+            assert record == score_cell(cell, cfg, batch, 3)
             assert record.size_mb == params_to_megabytes(count_parameters(cell, cfg))
             assert record.flops == count_flops(cell, cfg, batch.dims)
             expected = forward_capture(build_network(cell, cfg, 3), batch, standardise=False)
