@@ -56,7 +56,7 @@ class CellMatrix:
     which keeps invalid matrices representable for error reporting.
     """
 
-    __slots__ = ("codes",)
+    __slots__ = ("codes", "_key", "_text")
 
     def __init__(self, codes) -> None:
         arr = np.array(codes, dtype=np.int64)
@@ -66,6 +66,9 @@ class CellMatrix:
             raise ValueError("a cell needs at least two nodes")
         arr.setflags(write=False)
         object.__setattr__(self, "codes", arr)
+        # Identity is fixed at construction; the text form is filled on first use.
+        object.__setattr__(self, "_key", (arr.shape[0], arr.tobytes()))
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CellMatrix is immutable")
@@ -77,12 +80,10 @@ class CellMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CellMatrix):
             return NotImplemented
-        return self.codes.shape == other.codes.shape and bool(
-            np.array_equal(self.codes, other.codes)
-        )
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.n_nodes, self.codes.tobytes()))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         rows = ["[" + " ".join(str(int(c)) for c in row) + "]" for row in self.codes]
@@ -96,14 +97,9 @@ class CellMatrix:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Nonzero upper-triangular entries as (source, target, code)."""
-        out = []
-        n = self.n_nodes
-        for i in range(n):
-            for j in range(i + 1, n):
-                code = int(self.codes[i, j])
-                if code != OP_NONE:
-                    out.append((i, j, code))
-        return out
+        rows = self.codes.tolist()
+        n = len(rows)
+        return [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n) if rows[i][j] != OP_NONE]
 
     def stable_hash(self) -> int:
         """Platform-independent 64-bit digest of the encoding."""
@@ -113,8 +109,10 @@ class CellMatrix:
 
     def encode(self) -> str:
         """Canonical two-line text form (``nodes`` and row-major ``matrix``)."""
-        flat = " ".join(str(int(c)) for c in self.codes.ravel())
-        return f"nodes = {self.n_nodes}\nmatrix = {flat}\n"
+        if self._text is None:
+            flat = " ".join(str(c) for c in self.codes.ravel().tolist())
+            object.__setattr__(self, "_text", f"nodes = {self.n_nodes}\nmatrix = {flat}\n")
+        return self._text
 
     def encode_line(self) -> str:
         """The encoding on one line, ``;`` joining its lines; :meth:`decode` reads it."""
@@ -165,21 +163,21 @@ def validate_cell(cell: CellMatrix) -> list[str]:
     induced DAG.
     """
     violations: list[str] = []
-    codes = cell.codes
-    n = cell.n_nodes
-    for i in range(n):
-        for j in range(n):
-            code = int(codes[i, j])
+    rows = cell.codes.tolist()
+    n = len(rows)
+    in_deg = [0] * n
+    out_deg = [0] * n
+    for i, row in enumerate(rows):
+        for j, code in enumerate(row):
             if code == OP_NONE:
                 continue
             if j <= i:
                 violations.append(f"lower-triangular entry {code} at ({i}, {j})")
             elif code not in OP_CODES:
                 violations.append(f"unknown op code {code} at ({i}, {j})")
-    upper = np.triu(codes, k=1)
-    good = np.isin(upper, OP_CODES) & (upper != OP_NONE)
-    in_deg = good.sum(axis=0)
-    out_deg = good.sum(axis=1)
+            else:
+                out_deg[i] += 1
+                in_deg[j] += 1
     if out_deg[0] == 0:
         violations.append("source node 0 has no outgoing connection")
     if in_deg[n - 1] == 0:

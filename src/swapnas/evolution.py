@@ -186,6 +186,8 @@ class _SearchState:
         self.next_birth = 0
         self.reg: RegularisationParams | None = None
         self.batch = batch_for_config(cfg)
+        # The config never changes during a run; checkpoints splice in its JSON.
+        self.config_json = json.dumps(asdict(cfg), sort_keys=True)
         # Keyed on the cell itself, not its 64-bit digest, so a hit is exact.
         self.scored: dict[CellMatrix, ScoreRecord] = {}
 
@@ -278,38 +280,90 @@ def config_differences(a: SearchConfig, b: SearchConfig) -> list[str]:
 
 
 def save_checkpoint(path, state: _SearchState) -> None:
-    """Versioned structured-text snapshot enabling an exact resume."""
-    body = {
-        "config": asdict(state.cfg),
-        "cycle": state.cycle,
-        "evaluations": state.evaluations,
-        "next_birth": state.next_birth,
-        "trace": state.trace,
-        "reg": None if state.reg is None else asdict(state.reg),
-        "population": [{**vars(ind), "cell": ind.cell.encode_line()} for ind in state.population],
-        "rng_state": state.rng.bit_generator.state,
-    }
-    atomic_write_text(path, CHECKPOINT_MAGIC + "\n" + json.dumps(body, sort_keys=True) + "\n")
+    """Versioned structured-text snapshot enabling an exact resume.
+
+    The body is ``json.dumps(body, sort_keys=True)`` of every key below plus
+    ``"config"``; that key sorts first, so its cached JSON is spliced in front.
+    """
+    rest = json.dumps(
+        {
+            "cycle": state.cycle,
+            "evaluations": state.evaluations,
+            "next_birth": state.next_birth,
+            "trace": state.trace,
+            "reg": None if state.reg is None else asdict(state.reg),
+            "population": [
+                {**vars(ind), "cell": ind.cell.encode_line()} for ind in state.population
+            ],
+            "rng_state": state.rng.bit_generator.state,
+        },
+        sort_keys=True,
+    )
+    body = '{"config": ' + state.config_json + ", " + rest[1:]
+    atomic_write_text(path, CHECKPOINT_MAGIC + "\n" + body + "\n")
+
+
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _trace(value) -> list:
+    if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
+        raise ValueError("expected a list of numbers")
+    return list(value)
+
+
+def _population(value, cfg: SearchConfig) -> list[Individual]:
+    if not isinstance(value, list) or len(value) != cfg.population:
+        raise ValueError(f"expected a list of {cfg.population} individuals")
+    population = []
+    for k, item in enumerate(value):
+        if not isinstance(item, dict) or not isinstance(item.get("cell"), str):
+            raise ValueError(f"individual {k} is not an object with a cell string")
+        cell = CellMatrix.decode(item["cell"])
+        violations = validate_cell(cell)
+        if cell.n_nodes != cfg.nodes:
+            violations.insert(0, f"{cell.n_nodes} nodes, expected {cfg.nodes}")
+        if violations:
+            raise ValueError(f"individual {k} has an invalid cell: {'; '.join(violations)}")
+        population.append(Individual(**{**item, "cell": cell}))
+    return population
 
 
 def load_checkpoint(path) -> _SearchState:
+    """Read a checkpoint back; a malformed one raises ``ValueError`` naming the path and key."""
     with open(path, "r", encoding="ascii") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {magic!r}")
-        body = json.loads(fh.read())
-    state = _SearchState(_config_from_dict(body["config"]))
-    state.cycle = body["cycle"]
-    state.evaluations = body["evaluations"]
-    state.next_birth = body["next_birth"]
-    state.trace = list(body["trace"])
-    reg = body["reg"]
-    state.reg = None if reg is None else RegularisationParams(**reg)
-    state.population = [
-        Individual(**{**item, "cell": CellMatrix.decode(item["cell"])})
-        for item in body["population"]
-    ]
-    state.rng.bit_generator.state = body["rng_state"]
+            raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint: {magic!r}")
+        text = fh.read()
+    try:
+        body = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint body is not JSON: {exc}") from None
+    if not isinstance(body, dict):
+        raise ValueError(f"{path}: checkpoint body is not a JSON object")
+
+    def field(key, parse):
+        if key not in body:
+            raise ValueError(f"{path}: checkpoint {key} missing")
+        try:
+            return parse(body[key])
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint {key} invalid: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: checkpoint {key} invalid: {exc}") from None
+
+    state = _SearchState(field("config", _config_from_dict))
+    state.cycle = field("cycle", _count)
+    state.evaluations = field("evaluations", _count)
+    state.next_birth = field("next_birth", _count)
+    state.trace = field("trace", _trace)
+    state.reg = field("reg", lambda reg: None if reg is None else RegularisationParams(**reg))
+    state.population = field("population", lambda items: _population(items, state.cfg))
+    field("rng_state", lambda rng_state: setattr(state.rng.bit_generator, "state", rng_state))
     return state
 
 

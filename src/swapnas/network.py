@@ -186,19 +186,38 @@ def build_mlp(
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad both spatial axes."""
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-
-
-def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Strided kernel x kernel windows of the zero-padded map: (S, C, W', H', k, k)."""
-    windows = sliding_window_view(_pad(x, padding), (kernel, kernel), axis=(2, 3))
-    return windows[:, :, ::stride, ::stride]
+    """Zero-pad both spatial axes, in the memory order ``np.pad`` would pick."""
+    if not padding:
+        return x
+    s, c, w, h = x.shape
+    # F-order only for an F- and not C-contiguous map, as np.pad does: the
+    # window mean's summation order, and so its bytes, follow the layout.
+    out = np.zeros((s, c, w + 2 * padding, h + 2 * padding), order="F" if x.flags.fnc else "C")
+    out[:, :, padding:-padding, padding:-padding] = x
+    return out
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    y = np.tensordot(_windows(x, w.shape[-1], stride, padding), w, axes=[(1, 4, 5), (1, 2, 3)])
-    return np.transpose(y, (0, 3, 1, 2))
+    """Convolution as one GEMM over the gathered window matrix.
+
+    Row (sample, w', h') of the window matrix holds the padded map's values
+    under that output position's window in (channel, tap row, tap column)
+    order: the C-contiguous matrix ``tensordot`` copies out of a strided
+    window view.  One flat index gathers it, and ``np.dot`` multiplies it by
+    the same transposed weight view, so the bytes are those of
+    ``tensordot``; the property test in tests/test_network.py checks it.
+    """
+    n_out, c, k, _ = w.shape
+    x = _pad(x, padding)
+    s, _, wp, hp = x.shape
+    wo, ho = (wp - k) // stride + 1, (hp - k) // stride + 1
+    corners = (np.arange(wo) * (stride * hp))[:, None] + np.arange(ho) * stride
+    taps = (np.arange(c) * (wp * hp))[:, None, None] + (np.arange(k) * hp)[:, None] + np.arange(k)
+    index = corners.reshape(-1, 1) + taps.reshape(1, -1)
+    cols = np.take(x.reshape(s, -1), index, axis=1).reshape(-1, c * k * k)
+    del x, index  # free the padded copy before the GEMM allocates its output
+    y = np.dot(cols, w.reshape(n_out, -1).T)
+    return np.transpose(y.reshape(s, wo, ho, n_out), (0, 3, 1, 2))
 
 
 def _avg_pool(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
@@ -219,7 +238,8 @@ def _avg_pool(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarr
         out += 0.0
         out /= 9
         return out
-    return _windows(x, kernel, stride, 0).mean(axis=(4, 5))
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    return windows[:, :, ::stride, ::stride].mean(axis=(4, 5))
 
 
 def _standardise(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swapnas.cells import (
     OP_CODES,
@@ -78,6 +81,81 @@ class TestValidation:
     def test_isolated_interior_node_is_allowed(self):
         cell = CellMatrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
         assert validate_cell(cell) == []
+
+
+def numpy_validate_cell(cell: CellMatrix) -> list[str]:
+    """``validate_cell`` as earlier versions wrote it with numpy; the oracle."""
+    violations: list[str] = []
+    codes = cell.codes
+    n = cell.n_nodes
+    for i in range(n):
+        for j in range(n):
+            code = int(codes[i, j])
+            if code == 0:
+                continue
+            if j <= i:
+                violations.append(f"lower-triangular entry {code} at ({i}, {j})")
+            elif code not in OP_CODES:
+                violations.append(f"unknown op code {code} at ({i}, {j})")
+    upper = np.triu(codes, k=1)
+    good = np.isin(upper, OP_CODES) & (upper != 0)
+    in_deg = good.sum(axis=0)
+    out_deg = good.sum(axis=1)
+    if out_deg[0] == 0:
+        violations.append("source node 0 has no outgoing connection")
+    if in_deg[n - 1] == 0:
+        violations.append(f"sink node {n - 1} has no incoming connection")
+    for v in range(1, n - 1):
+        if out_deg[v] > 0 and in_deg[v] == 0:
+            violations.append(f"node {v} has outgoing connections but no incoming one")
+        if in_deg[v] > 0 and out_deg[v] == 0:
+            violations.append(f"node {v} has incoming connections but no outgoing one")
+    return violations
+
+
+@st.composite
+def code_matrices(draw):
+    """Square int matrices, n 2-6, entries in [-2, 6]; often strictly upper-triangular."""
+    n = draw(st.integers(2, 6))
+    codes = draw(arrays(np.int64, (n, n), elements=st.integers(-2, 6)))
+    return np.triu(codes, 1) if draw(st.booleans()) else codes
+
+
+class TestCellProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(code_matrices())
+    def test_validate_cell_matches_the_numpy_oracle(self, codes):
+        cell = CellMatrix(codes)
+        assert validate_cell(cell) == numpy_validate_cell(cell)
+
+    @settings(max_examples=200, deadline=None)
+    @given(code_matrices())
+    def test_cached_text_equals_the_formula(self, codes):
+        cell = CellMatrix(codes)
+        flat = " ".join(str(int(c)) for c in codes.ravel())
+        text = f"nodes = {codes.shape[0]}\nmatrix = {flat}\n"
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert cell.encode() == text
+            assert cell.encode_line() == text.strip().replace("\n", ";")
+
+    @settings(max_examples=200, deadline=None)
+    @given(code_matrices(), code_matrices())
+    def test_identity_follows_the_codes(self, a, b):
+        cell_a, cell_b = CellMatrix(a), CellMatrix(b)
+        assert CellMatrix(a.copy()) == cell_a
+        assert hash(CellMatrix(a.copy())) == hash(cell_a)
+        same = a.shape == b.shape and np.array_equal(a, b)
+        assert (cell_a == cell_b) is same
+        if same:
+            assert hash(cell_a) == hash(cell_b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5))
+    def test_cells_of_different_sizes_are_never_equal(self, n):
+        # Same zero bytes in a different shape: n*n zeros cannot equal m*m zeros.
+        small, large = CellMatrix(np.zeros((n, n))), CellMatrix(np.zeros((n + 1, n + 1)))
+        assert small != large
+        assert len({small, large}) == 2
 
 
 class TestRandomCell:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import argparse
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -252,6 +253,41 @@ class TestSearchCommand:
         code, out, err = run(capsys, "search", "--config", cfg)
         assert code == 1
         assert "not a SWAPCKPT 3 checkpoint: 'SWAPCKPT 2'" in err
+        assert out == ""
+
+    @staticmethod
+    def invalid_population(body: str) -> str:
+        data = json.loads(body)
+        data["population"][3]["cell"] = "nodes = 4;matrix = " + " ".join(["0"] * 16)
+        return json.dumps(data, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "make_body, fault",
+        [
+            (lambda body: "{}", "checkpoint config missing"),
+            (lambda body: '{"config": {}}', "checkpoint config invalid: missing key 'reg'"),
+            (lambda body: "[1,2]", "checkpoint body is not a JSON object"),
+            (lambda body: "not json", "checkpoint body is not JSON: Expecting value"),
+            (
+                invalid_population,
+                "checkpoint population invalid: individual 3 has an invalid cell: "
+                "source node 0 has no outgoing connection",
+            ),
+        ],
+        ids=["empty", "empty-config", "list", "not-json", "invalid-cell"],
+    )
+    def test_malformed_checkpoint_names_the_file_and_the_fault(
+        self, capsys, tmp_path, make_body, fault
+    ):
+        ckpt = tmp_path / "search.ckpt"
+        cfg = self.write_config(tmp_path, checkpoint=str(ckpt), resume="true")
+        assert main(["search", "--config", cfg]) == 0
+        capsys.readouterr()
+        magic, body = ckpt.read_text().split("\n", 1)
+        ckpt.write_text(magic + "\n" + make_body(body) + "\n")
+        code, out, err = run(capsys, "search", "--config", cfg)
+        assert code == 1
+        assert err.startswith(f"error: {ckpt}: {fault}")
         assert out == ""
 
     def test_resumed_summary_matches_the_uninterrupted_run(self, capsys, tmp_path):

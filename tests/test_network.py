@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from swapnas.cells import AssemblyConfig, CellMatrix, NodeSpec, ShapeError, random_cell
 from swapnas.metric import standard_pattern_cardinality, swap_score
@@ -13,7 +14,7 @@ from swapnas.network import (
     NetworkInstance,
     NumericOverflowError,
     _avg_pool,
-    _windows,
+    _conv2d,
     build_mlp,
     build_network,
     forward_capture,
@@ -222,6 +223,11 @@ class TestForwardCapture:
             forward_capture(broken, gaussian_batch(2, (3, 6, 6), seed=1), standardise=False)
 
 
+def np_pad(x, padding):
+    """The spatial zero padding of earlier versions, the oracle for ``_pad``."""
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+
+
 @st.composite
 def pool_inputs(draw):
     """(map, padding) pairs for a 3x3 stride-1 average pool.
@@ -254,9 +260,47 @@ class TestAvgPool:
         # The separable 3x3 sum may run only where it gives the window
         # mean's exact bytes; this test is what defines that guard.
         x, padding = case
-        want = _windows(x, 3, 1, padding).mean(axis=(4, 5))
+        want = sliding_window_view(np_pad(x, padding), (3, 3), axis=(2, 3)).mean(axis=(4, 5))
         got = _avg_pool(x, 3, 1, padding)
         assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def conv_inputs(draw):
+    """(map, weights, stride, padding) for a 1x1 or 3x3 convolution.
+
+    Widths differ from heights, and output sizes reach down to 1.  Maps come
+    C-contiguous or NHWC-strided (the (0, 3, 1, 2) transpose view a conv
+    returns).
+    """
+    kernel, stride, padding = (draw(st.sampled_from(v)) for v in ((1, 3), (1, 2), (0, 1)))
+    s, c, n_out = (draw(st.integers(1, 9)) for _ in range(3))
+    low = max(1, kernel - 2 * padding)
+    w = draw(st.integers(low, 9))
+    h = draw(st.integers(low, 9).filter(lambda v: v != w))
+    values = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
+    if draw(st.booleans()):
+        x = draw(arrays(np.float64, (s, w, h, c), elements=values)).transpose(0, 3, 1, 2)
+    else:
+        x = draw(arrays(np.float64, (s, c, w, h), elements=values))
+    weights = draw(arrays(np.float64, (n_out, c, kernel, kernel), elements=st.floats(-2.0, 2.0)))
+    return x, weights, stride, padding
+
+
+class TestConv2d:
+    @settings(max_examples=400, deadline=None)
+    @given(conv_inputs())
+    def test_matches_tensordot_bytewise(self, case):
+        # The conv of earlier versions, kept as the oracle: tensordot over a
+        # strided window view copies out the window matrix the gather builds.
+        x, w, stride, padding = case
+        k = w.shape[-1]
+        windows = sliding_window_view(np_pad(x, padding), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        want = np.transpose(np.tensordot(windows, w, axes=[(1, 4, 5), (1, 2, 3)]), (0, 3, 1, 2))
+        got = _conv2d(x, w, stride, padding)
+        assert got.shape == want.shape
+        assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
 
 
