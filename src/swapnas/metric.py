@@ -24,7 +24,10 @@ class ContractViolationError(ValueError):
 
 def pack_bit_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a (values x samples) 0/1 block into row-packed bytes."""
-    return np.packbits(np.asarray(bits).astype(np.uint8, copy=False), axis=1)
+    # One cast (and, for a transposed view, transposing) copy into C order:
+    # packbits runs about twice as fast along contiguous rows as along a
+    # strided axis.
+    return np.packbits(np.ascontiguousarray(bits, dtype=np.uint8), axis=1)
 
 
 @dataclass(frozen=True)

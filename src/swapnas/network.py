@@ -198,24 +198,32 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Convolution as one GEMM over the gathered window matrix.
+    """Convolution as one GEMM over the window matrix.
 
     Row (sample, w', h') of the window matrix holds the padded map's values
     under that output position's window in (channel, tap row, tap column)
-    order: the C-contiguous matrix ``tensordot`` copies out of a strided
-    window view.  One flat index gathers it, and ``np.dot`` multiplies it by
-    the same transposed weight view, so the bytes are those of
-    ``tensordot``; the property test in tests/test_network.py checks it.
+    order.  It is the matrix ``tensordot`` reshapes out of a strided window
+    view, and ``np.dot`` multiplies it by the same transposed weight view,
+    so the bytes are those of ``tensordot``; the property test in
+    tests/test_network.py checks it.  For a 1x1 kernel it is that same
+    reshape of the strided map: a view wherever ``tensordot``'s is one
+    (BLAS can take another path on a view than on a copy), and free on an
+    NHWC-strided conv output.  A larger kernel's is always a C-contiguous
+    copy, gathered with one flat index.
     """
     n_out, c, k, _ = w.shape
     x = _pad(x, padding)
     s, _, wp, hp = x.shape
     wo, ho = (wp - k) // stride + 1, (hp - k) // stride + 1
-    corners = (np.arange(wo) * (stride * hp))[:, None] + np.arange(ho) * stride
-    taps = (np.arange(c) * (wp * hp))[:, None, None] + (np.arange(k) * hp)[:, None] + np.arange(k)
-    index = corners.reshape(-1, 1) + taps.reshape(1, -1)
-    cols = np.take(x.reshape(s, -1), index, axis=1).reshape(-1, c * k * k)
-    del x, index  # free the padded copy before the GEMM allocates its output
+    if k == 1:
+        cols = x[:, :, ::stride, ::stride].transpose(0, 2, 3, 1).reshape(-1, c)
+    else:
+        corners = (np.arange(wo) * (stride * hp))[:, None] + np.arange(ho) * stride
+        taps = (np.arange(c) * (wp * hp))[:, None, None] + (np.arange(k) * hp)[:, None] + np.arange(k)
+        index = corners.reshape(-1, 1) + taps.reshape(1, -1)
+        cols = np.take(x.reshape(s, -1), index, axis=1).reshape(-1, c * k * k)
+        del index
+    del x  # free the padded copy before the GEMM allocates its output
     y = np.dot(cols, w.reshape(n_out, -1).T)
     return np.transpose(y.reshape(s, wo, ho, n_out), (0, 3, 1, 2))
 
@@ -243,9 +251,21 @@ def _avg_pool(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarr
 
 
 def _standardise(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    mean = y.mean(axis=axes, keepdims=True)
-    var = y.var(axis=axes, keepdims=True)
-    return (y - mean) / np.sqrt(var + _STANDARDISE_EPS)
+    """``(y - y.mean(axes)) / np.sqrt(y.var(axes) + eps)``, in ``y``'s layout.
+
+    These are the float operations numpy's ``mean`` and ``var`` run (a sum,
+    a division by the count, a subtraction, a square, a sum and a division
+    by the count), without the second mean and the second subtraction.  The
+    property test in tests/test_network.py holds it to the plain formula.
+    """
+    n = math.prod(y.shape[a] for a in axes)
+    mean = np.add.reduce(y, axes, keepdims=True)
+    mean /= n
+    out = y - mean
+    var = np.add.reduce(out * out, axes, keepdims=True)
+    var /= n
+    out /= np.sqrt(var + _STANDARDISE_EPS)
+    return out
 
 
 def forward_capture(
@@ -295,8 +315,12 @@ def forward_capture(
             if node.scored:
                 if standardise:
                     out = _standardise(out, (0, 2, 3))
-                blocks.append(pack_bit_rows((out > 0).reshape(n_samples, -1).T))
-                out = np.maximum(out, 0.0)
+                # One copy of the bits, straight into (value, sample) order.
+                blocks.append(pack_bit_rows((out > 0).transpose(1, 2, 3, 0).reshape(-1, n_samples)))
+                if out is values[node.inputs[0]]:  # a scored skip's input: not ours to overwrite
+                    out = np.maximum(out, 0.0)
+                else:
+                    np.maximum(out, 0.0, out=out)
             if not np.isfinite(out).all():
                 raise NumericOverflowError(
                     f"non-finite intermediate value produced by layer {node.name}"

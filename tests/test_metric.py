@@ -14,6 +14,7 @@ from swapnas.metric import (
     RegularisationParams,
     ScoreRecord,
     _distinct_row_count,
+    pack_bit_rows,
     regularisation_factor,
     regularised_swap_score,
     standard_pattern_cardinality,
@@ -59,6 +60,26 @@ class TestActivationCapture:
     def test_rejects_zero_samples(self):
         with pytest.raises(ContractViolationError):
             ActivationCapture.from_bits(np.zeros((3, 0)))
+
+
+@st.composite
+def bit_blocks(draw):
+    """(values x samples) 0/1 blocks: bool, int or float, C-contiguous or a transposed view."""
+    v, s = draw(st.integers(0, 20)), draw(st.integers(1, 40))
+    dtype = draw(st.sampled_from([np.bool_, np.uint8, np.int64, np.float64]))
+    if draw(st.booleans()):
+        return draw(arrays(np.uint8, (s, v), elements=st.integers(0, 1))).astype(dtype).T
+    return draw(arrays(np.uint8, (v, s), elements=st.integers(0, 1))).astype(dtype)
+
+
+class TestPackBitRows:
+    @settings(max_examples=300, deadline=None)
+    @given(bit_blocks())
+    def test_matches_packbits_of_the_uint8_cast(self, bits):
+        want = np.packbits(bits.astype(np.uint8), axis=1)
+        got = pack_bit_rows(bits)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStandardPatternCardinality:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
@@ -13,8 +13,10 @@ from swapnas.network import (
     InputBatch,
     NetworkInstance,
     NumericOverflowError,
+    _STANDARDISE_EPS,
     _avg_pool,
     _conv2d,
+    _standardise,
     build_mlp,
     build_network,
     forward_capture,
@@ -215,6 +217,27 @@ class TestForwardCapture:
         with pytest.raises(ShapeError, match="channels"):
             forward_capture(net, gaussian_batch(2, (1, 5, 5), seed=0))
 
+    def test_scored_skip_leaves_its_input_untouched(self):
+        # Without standardisation a scored skip's output is its input's own
+        # array, so its ReLU must not run in place: not on the read-only
+        # batch, and not on a map that a later node still reads.
+        after = NodeSpec("after", "conv", (2,), channels_out=2, kernel=1, scored=True)
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("relu-batch", "skip", (0,), scored=True),
+            NodeSpec("conv", "conv", (0,), channels_out=3, kernel=3, padding=1),
+            NodeSpec("relu-conv", "skip", (2,), scored=True),
+            after,
+        )
+        batch = gaussian_batch(4, (2, 5, 5), seed=3)
+        before = batch.data.copy()
+        cap = forward_capture(network_from_nodes(nodes, 4, 2), batch, standardise=False)
+        assert batch.data.tobytes() == before.tobytes()
+        # Skips draw no weights, so dropping one keeps the convs' weights.
+        alone = forward_capture(network_from_nodes(nodes[:3] + (after,), 4, 2), batch, standardise=False)
+        assert cap.n_values == 50 + 75 + 50
+        assert np.array_equal(cap.bits()[-50:], alone.bits()[-50:])
+
     def test_overflow_identifies_the_layer(self):
         net = conv_chain([(4, 3, 1, 1), (4, 3, 1, 1)], in_channels=3)
         huge = tuple(None if w is None else w * 1e200 for w in net.weights)
@@ -291,15 +314,54 @@ def conv_inputs(draw):
 class TestConv2d:
     @settings(max_examples=400, deadline=None)
     @given(conv_inputs())
+    # One-sample, one-output 1x1 convs where tensordot's window matrix is a
+    # strided view, so BLAS takes another path than on a gathered copy.
+    @example((np.full((1, 6, 1, 2), 1.85474576e-07), np.full((1, 6, 1, 1), 0.3125), 1, 0))
+    @example((np.full((1, 9, 2, 2), 1.0), np.full((1, 9, 1, 1), 0.1), 2, 0))
     def test_matches_tensordot_bytewise(self, case):
         # The conv of earlier versions, kept as the oracle: tensordot over a
-        # strided window view copies out the window matrix the gather builds.
+        # strided window view reshapes out the window matrix the conv builds.
         x, w, stride, padding = case
         k = w.shape[-1]
         windows = sliding_window_view(np_pad(x, padding), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
         want = np.transpose(np.tensordot(windows, w, axes=[(1, 4, 5), (1, 2, 3)]), (0, 3, 1, 2))
         got = _conv2d(x, w, stride, padding)
         assert got.shape == want.shape
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def standardise_inputs(draw):
+    """Pre-activation maps for the per-channel standardisation.
+
+    Maps come NHWC-strided (as a conv returns them) or C-contiguous, and
+    dense-shaped (S, units, 1, 1) half the time; S reaches down to 1, some
+    channels are constant and scales run from 1e-6 to 1e6.
+    """
+    s, c = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    w, h = (1, 1) if draw(st.booleans()) else (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    values = st.floats(-4.0, 4.0)
+    if draw(st.booleans()):
+        y = draw(arrays(np.float64, (s, w, h, c), elements=values)).transpose(0, 3, 1, 2)
+    else:
+        y = draw(arrays(np.float64, (s, c, w, h), elements=values))
+    for channel in draw(st.sets(st.integers(0, c - 1))):
+        y[:, channel] = draw(values)
+    return y * 10.0 ** draw(st.integers(-6, 6))
+
+
+class TestStandardise:
+    @settings(max_examples=400, deadline=None)
+    @given(standardise_inputs())
+    def test_matches_the_mean_var_formula_bytewise(self, y):
+        # The standardisation of earlier versions, kept as the oracle.  The
+        # one-mean form rests on the float operations numpy's mean and var
+        # run, so a numpy upgrade that changes them fails here.
+        axes = (0, 2, 3)
+        mean, var = y.mean(axis=axes, keepdims=True), y.var(axis=axes, keepdims=True)
+        want = (y - mean) / np.sqrt(var + _STANDARDISE_EPS)
+        got = _standardise(y, axes)
         assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
 
