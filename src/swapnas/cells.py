@@ -1,8 +1,8 @@
 """Cell-based search space: op-code matrices, assembly and size accounting.
 
 A cell is a small DAG over N nodes encoded as a strictly upper-triangular
-N x N matrix of operation codes.  Code 0 means no connection; codes 1-4
-select the edge operation (3x3 conv, 1x1 conv, 3x3 average pool, skip).
+N x N matrix of operation codes.  Code 0 means no connection; every other
+code selects one of the edge operations of ``EDGE_OPS``.
 Node 0 is the single input of the cell and node N-1 its single output.
 Full networks are assembled by putting a stem convolution in front of a
 stack of cell copies, optionally with channel-doubling reductions between
@@ -19,18 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 OP_NONE = 0
-OP_CONV3 = 1
-OP_CONV1 = 2
-OP_POOL3 = 3
-OP_SKIP = 4
-OP_CODES = (OP_CONV3, OP_CONV1, OP_POOL3, OP_SKIP)
-OP_NAMES = {
-    OP_NONE: "none",
-    OP_CONV3: "conv3x3",
-    OP_CONV1: "conv1x1",
-    OP_POOL3: "avgpool3x3",
-    OP_SKIP: "skip",
+# Every edge operation of the space: its code, its name in node names and
+# the NodeSpec fields that realise it.  Every edge keeps the cell's width.
+EDGE_OPS = {
+    1: ("conv3x3", dict(kind="conv", kernel=3, padding=1, scored=True)),
+    2: ("conv1x1", dict(kind="conv", kernel=1, scored=True)),
+    3: ("avgpool3x3", dict(kind="avg-pool", kernel=3, padding=1)),
+    4: ("skip", dict(kind="skip")),
 }
+OP_CODES = tuple(EDGE_OPS)
+
 
 class CellValidationError(ValueError):
     """A cell matrix violates the search-space invariants."""
@@ -121,15 +119,7 @@ class CellMatrix:
     @classmethod
     def decode(cls, text: str) -> "CellMatrix":
         """Parse the text form; ``;`` is accepted as a line separator."""
-        fields: dict[str, str] = {}
-        for raw in text.replace(";", "\n").splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed cell line: {line!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+        fields = parse_key_values(text.replace(";", "\n"))
         for key in ("nodes", "matrix"):
             if key not in fields:
                 raise ValueError(f"cell document is missing the {key!r} field")
@@ -143,6 +133,30 @@ class CellMatrix:
         if len(flat) != n * n:
             raise ValueError(f"expected {n * n} matrix entries, got {len(flat)}")
         return cls(np.array(flat, dtype=np.int64).reshape(n, n))
+
+
+def parse_key_values(text: str) -> dict[str, str]:
+    """Read ``key = value`` lines, skipping blank lines and ``#`` comments.
+
+    A line without ``=`` and a key given twice raise ``ValueError`` naming
+    the line (both lines for a repeated key).
+    """
+    values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in first_line:
+            raise ValueError(
+                f"line {lineno}: duplicate key {key!r} (first seen on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        values[key] = value
+    return values
 
 
 def read_cell_file(path) -> CellMatrix:
@@ -207,13 +221,13 @@ def random_cell(n_nodes: int, rng) -> CellMatrix:
         for i in range(n_nodes):
             for j in range(i + 1, n_nodes):
                 if rng.random() < 0.5:
-                    codes[i, j] = rng.integers(1, 5)
+                    codes[i, j] = OP_CODES[rng.integers(len(OP_CODES))]
         for j in range(1, n_nodes):
             if not codes[:j, j].any():
-                codes[rng.integers(0, j), j] = rng.integers(1, 5)
+                codes[rng.integers(0, j), j] = OP_CODES[rng.integers(len(OP_CODES))]
         for i in range(n_nodes - 2, -1, -1):
             if not codes[i, i + 1 :].any():
-                codes[i, rng.integers(i + 1, n_nodes)] = rng.integers(1, 5)
+                codes[i, rng.integers(i + 1, n_nodes)] = OP_CODES[rng.integers(len(OP_CODES))]
         cell = CellMatrix(codes)
         if not validate_cell(cell):
             return cell
@@ -281,19 +295,6 @@ class NodeSpec:
     scored: bool = False
 
 
-def _edge_node(src_ids: tuple[int, ...], width: int, code: int, name: str) -> NodeSpec:
-    """The node realising one cell edge; every edge keeps the cell's width."""
-    if code == OP_CONV3:
-        return NodeSpec(name, "conv", src_ids, channels_out=width, kernel=3, padding=1, scored=True)
-    if code == OP_CONV1:
-        return NodeSpec(name, "conv", src_ids, channels_out=width, kernel=1, scored=True)
-    if code == OP_POOL3:
-        return NodeSpec(name, "avg-pool", src_ids, channels_out=width, kernel=3, padding=1)
-    if code == OP_SKIP:
-        return NodeSpec(name, "skip", src_ids, channels_out=width)
-    raise AssemblyError(f"unsupported op code {code} for edge {name}")
-
-
 def assemble_descriptor(
     cell: CellMatrix, cfg: AssemblyConfig, in_channels: int = 3
 ) -> tuple[NodeSpec, ...]:
@@ -329,8 +330,10 @@ def assemble_descriptor(
                 code = int(cell.codes[i, j])
                 if code == OP_NONE:
                     continue
-                name = f"cell{k}.n{i}-n{j}.{OP_NAMES[code]}"
-                nodes.append(_edge_node(sources[i], width, code, name))
+                name, fields = EDGE_OPS[code]
+                nodes.append(
+                    NodeSpec(f"cell{k}.n{i}-n{j}.{name}", inputs=sources[i], channels_out=width, **fields)
+                )
                 ids.append(len(nodes) - 1)
             if ids:
                 sources[j] = tuple(ids)

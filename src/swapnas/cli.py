@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .cells import AssemblyConfig, random_cell, read_cell_file
+from .cells import AssemblyConfig, parse_key_values, random_cell, read_cell_file
 from .evaluation import (
     atomic_write_text,
     correlation_report,
@@ -128,6 +128,8 @@ def _add_assembly_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
 
 
 def _assembly_from_args(args) -> AssemblyConfig:
+    if not args.head and args.head_units != AssemblyConfig.head_units:
+        raise UsageError("--head-units has no effect without --head")
     return AssemblyConfig(**{name: getattr(args, name) for name in _ASSEMBLY_FIELDS})
 
 
@@ -240,17 +242,12 @@ def _cmd_score(args) -> int:
 
 
 def _parse_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}: line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+        text = fh.read()
+    try:
+        return parse_key_values(text)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _parse_keys(values: dict[str, str], parsers: dict) -> dict:
@@ -274,8 +271,12 @@ def _search_config(values: dict[str, str]) -> tuple[SearchConfig, dict]:
     if bell:
         if len(bell) != len(_REG_FIELDS):
             raise UsageError("config must set mu and sigma together")
+        if "reg" in search:
+            raise UsageError("config key reg has no effect with mu and sigma")
         search["reg"] = RegularisationParams(**bell)
     assembly = AssemblyConfig(**_parse_keys(values, _ASSEMBLY_FIELDS))
+    if "head_units" in values and not assembly.head:
+        raise UsageError("config key head_units has no effect without head")
     outputs = _parse_keys(values, _OUTPUT_KEYS)
     for key in ("checkpoint_every", "resume"):
         if key in outputs and not outputs.get("checkpoint"):
@@ -370,7 +371,7 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list[tuple[float, float]]:
+def _parse_grid(text: str) -> list[RegularisationParams]:
     grid = []
     for part in text.split(","):
         part = part.strip()
@@ -379,16 +380,20 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
         if ":" not in part:
             raise UsageError(f"grid point {part!r} must be MU:SIGMA")
         mu, _, sigma = part.partition(":")
-        grid.append((float(mu), float(sigma)))
+        try:
+            grid.append(RegularisationParams(float(mu), float(sigma)))
+        except ValueError as exc:
+            raise UsageError(f"grid point {part!r}: {exc}") from None
     if not grid:
         raise UsageError("empty grid")
     return grid
 
 
 def _cmd_sweep(args) -> int:
+    grid = _parse_grid(args.grid)
     table = load_accuracy_table(args.truth)
     records = _records_for(args, table, None)
-    points = mu_sigma_sweep(records, table, _parse_grid(args.grid))
+    points = mu_sigma_sweep(records, table, [(p.mu, p.sigma) for p in grid])
     rows = []
     for pt in points:
         print(f"mu={_fmt(pt.mu)} sigma={_fmt(pt.sigma)} rho={_fmt(pt.rho)}")
@@ -411,6 +416,8 @@ def _parse_dims(text: str) -> list[tuple[int, int, int]]:
         if len(bits) != 3:
             raise UsageError(f"dims {part!r} must be CxWxH")
         dims.append(tuple(int(b) for b in bits))
+        if min(dims[-1]) < 1:
+            raise UsageError(f"dims {part!r} must be at least 1 on every axis")
     if not dims:
         raise UsageError("empty dims list")
     return dims

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cells import AssemblyConfig, CellMatrix
+from .cells import AssemblyConfig, CellMatrix, validate_cell
 from .metric import (
     RegularisationParams,
     ScoreRecord,
@@ -42,7 +42,7 @@ class TableError(ValueError):
 # fails either.
 _COLUMNS = {
     "arch_id": (str.strip, bool, "is empty"),
-    "cell": (CellMatrix.decode, lambda v: True, "is not a cell document"),
+    "cell": (CellMatrix.decode, lambda v: not validate_cell(v), "is not a cell document"),
     "accuracy": (float, lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
     "size_mb": (float, lambda v: math.isfinite(v) and v > 0.0, "is not a positive finite number"),
     "seed": (int, lambda v: True, "is not an integer"),

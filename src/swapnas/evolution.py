@@ -21,11 +21,12 @@ result.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cells import AssemblyConfig, CellMatrix, random_cell, validate_cell
+from .cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell
 from .evaluation import atomic_write_text, estimate_mu_sigma
 from .metric import RegularisationParams, ScoreRecord
 from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_cell
@@ -48,8 +49,8 @@ def mutate_operation(cell: CellMatrix, rng) -> CellMatrix:
     if not edges:
         raise NoEdgeError("cell has no connection to mutate")
     i, j, code = edges[rng.integers(len(edges))]
-    choices = [c for c in (1, 2, 3, 4) if c != code]
-    return cell.replace(i, j, int(choices[rng.integers(len(choices))]))
+    choices = [c for c in OP_CODES if c != code]
+    return cell.replace(i, j, choices[rng.integers(len(choices))])
 
 
 def mutate_connectivity(cell: CellMatrix, rng) -> CellMatrix:
@@ -64,12 +65,7 @@ def mutate_connectivity(cell: CellMatrix, rng) -> CellMatrix:
     if not edges:
         raise NoEdgeError("cell has no connection to mutate")
     n = cell.n_nodes
-    holes = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if cell.codes[i, j] == 0
-    ]
+    holes = [(i, j) for i in range(n) for j in range(i + 1, n) if cell.codes[i, j] == OP_NONE]
     if not holes:
         raise SaturationError("cell has no empty slot to move a connection into")
     moves = [(e, h) for e in range(len(edges)) for h in range(len(holes))]
@@ -77,7 +73,7 @@ def mutate_connectivity(cell: CellMatrix, rng) -> CellMatrix:
         (ei, hi) = moves[mi]
         i, j, code = edges[ei]
         ti, tj = holes[hi]
-        moved = cell.replace(i, j, 0).replace(ti, tj, code)
+        moved = cell.replace(i, j, OP_NONE).replace(ti, tj, code)
         if not validate_cell(moved):
             return moved
     raise SaturationError("every connection move breaks the cell invariants")
@@ -309,6 +305,23 @@ def _count(value) -> int:
     return value
 
 
+def _finite(value, positive: bool = False) -> float:
+    """A finite number of at least 0, or above 0 when ``positive``."""
+    if type(value) not in (int, float) or not math.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"expected a finite number {'>' if positive else '>='} 0, got {value!r}")
+    return value
+
+
+# The check of each number a checkpointed individual carries.
+_INDIVIDUAL_NUMBERS = {
+    "score": _finite,
+    "swap": _count,
+    "size_mb": lambda v: _finite(v, positive=True),
+    "seed": _count,
+    "birth": _count,
+}
+
+
 def _trace(value) -> list:
     if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
         raise ValueError("expected a list of numbers")
@@ -328,6 +341,11 @@ def _population(value, cfg: SearchConfig) -> list[Individual]:
             violations.insert(0, f"{cell.n_nodes} nodes, expected {cfg.nodes}")
         if violations:
             raise ValueError(f"individual {k} has an invalid cell: {'; '.join(violations)}")
+        for key, check in _INDIVIDUAL_NUMBERS.items():
+            try:
+                check(item[key])
+            except ValueError as exc:
+                raise ValueError(f"individual {k} {key}: {exc}") from None
         population.append(Individual(**{**item, "cell": cell}))
     return population
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from swapnas.cells import (
+    EDGE_OPS,
     OP_CODES,
     AssemblyConfig,
     AssemblyError,
@@ -19,6 +20,7 @@ from swapnas.cells import (
     count_parameters,
     nb201_like_assembly,
     params_to_megabytes,
+    parse_key_values,
     random_cell,
     read_cell_file,
     trace_channels,
@@ -77,6 +79,12 @@ class TestValidation:
         cell = CellMatrix([[0, 0], [0, 0]])
         violations = validate_cell(cell)
         assert len(violations) == 2  # silent source and silent sink
+
+    def test_cell_is_immutable(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            EXAMPLE_CELL.codes = ALL_SKIP_CHAIN.codes
+        with pytest.raises(ValueError, match="read-only"):
+            EXAMPLE_CELL.codes[0, 1] = 2
 
     def test_isolated_interior_node_is_allowed(self):
         cell = CellMatrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
@@ -214,6 +222,36 @@ class TestCellFileFormat:
         with pytest.raises(ValueError, match="expected 4"):
             CellMatrix.decode("nodes = 2\nmatrix = 0 1 0")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nodes = 4\nmatrix = 0 1 x 0", "cell document has non-integer entries"),
+            ("nodes = four;matrix = 0 1 0 0", "cell document has non-integer entries"),
+            ("nodes = 1\nmatrix = 0", "a cell needs at least two nodes"),
+            ("nodes = 2\nmatrix 0 1 0 0", "line 2: expected key = value, got 'matrix 0 1 0 0'"),
+            (
+                "nodes = 2;nodes = 3;matrix = 0 1 0 0",
+                "line 2: duplicate key 'nodes' (first seen on line 1)",
+            ),
+        ],
+    )
+    def test_bad_document_names_its_fault(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            CellMatrix.decode(text)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "codes, message",
+        [([[0, 1, 0], [0, 0, 1]], "square"), ([[0, 1]], "square"), ([[0]], "two nodes")],
+    )
+    def test_bad_matrix_rejected_at_construction(self, codes, message):
+        with pytest.raises(ValueError, match=message):
+            CellMatrix(codes)
+
+    def test_key_value_reader_skips_blanks_and_comments(self):
+        text = "# a comment\n\n  a = 1 \nb=two = 2\n   # indented comment\n"
+        assert parse_key_values(text) == {"a": "1", "b": "two = 2"}
+
     def test_stable_hash_fixed_across_processes(self):
         # sha256-backed digest: any drift would silently change every seed.
         assert EXAMPLE_CELL.stable_hash() == CellMatrix(EXAMPLE_CELL.codes).stable_hash()
@@ -284,6 +322,29 @@ class TestAssembly:
         )
         with pytest.raises(ShapeError, match="kernel"):
             trace_shapes(nodes, (3, 2, 2))
+
+    def test_each_edge_op_is_realised_by_its_registry_fields(self):
+        for code, (name, fields) in EDGE_OPS.items():
+            cell = CellMatrix([[0, code], [0, 0]])
+            *_, edge = assemble_descriptor(cell, AssemblyConfig(depth=1, stem_channels=4))
+            assert edge == NodeSpec(f"cell0.n0-n1.{name}", inputs=(1,), channels_out=4, **fields)
+        assert OP_CODES == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(depth=0), "depth must be at least 1"),
+            (dict(stem_channels=0), "stem_channels must be at least 1"),
+            (dict(depth=3, reductions=(2, 1)), "reductions must be strictly increasing"),
+            (dict(depth=3, reductions=(1, 1)), "reductions must be strictly increasing"),
+            (dict(depth=3, reductions=(3,)), r"reduction indices must lie in \[0, depth\)"),
+            (dict(depth=3, reductions=(-1, 0)), r"reduction indices must lie in \[0, depth\)"),
+            (dict(head=True, head_units=0), "head_units must be at least 1"),
+        ],
+    )
+    def test_bad_assembly_config_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            AssemblyConfig(**kwargs)
 
     def test_nb201_like_preset(self):
         cfg = nb201_like_assembly()

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, write_cell_file
-from swapnas import cli
+from swapnas import cli, evaluation, evolution
 from swapnas.cli import main
 from swapnas.evaluation import load_accuracy_table, read_score_records
 from swapnas.evolution import SearchConfig, run_search
@@ -32,6 +32,22 @@ def parse_kv(text):
             key, _, value = line.partition("=")
             pairs[key] = value
     return pairs
+
+
+@pytest.fixture
+def score_calls(monkeypatch):
+    """The cell of every ``score_cell``/``score_and_capture`` call any command makes."""
+    calls = []
+    for module, name in [
+        (cli, "score_and_capture"), (evaluation, "score_and_capture"),
+        (evaluation, "score_cell"), (evolution, "score_cell"),
+    ]:
+        def counted(cell, *args, _original=getattr(module, name), **kwargs):
+            calls.append(cell)
+            return _original(cell, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture
@@ -119,27 +135,44 @@ class TestScore:
         assert code == 1
         assert "error" in err
 
+    def test_head_units_without_head_rejected(self, capsys, cell_file, score_calls):
+        code, out, err = run(capsys, "score", "--cell", cell_file, "--head-units", "-5")
+        assert code == 1
+        assert err == "error: --head-units has no effect without --head\n"
+        assert out == "" and score_calls == []
+
     def test_mu_without_sigma_rejected(self, capsys, cell_file):
         code, _, err = run(capsys, "score", "--cell", cell_file, "--mu", "1.0")
         assert code == 1
         assert "together" in err
 
 
+def edit_body(**changes):
+    """A checkpoint-body rewrite setting top-level keys."""
+    return lambda body: json.dumps({**json.loads(body), **changes}, sort_keys=True)
+
+
+def edit_individual(**changes):
+    """A checkpoint-body rewrite setting keys of the fourth individual."""
+
+    def edit(body):
+        data = json.loads(body)
+        data["population"][3].update(changes)
+        return json.dumps(data, sort_keys=True)
+
+    return edit
+
+
 class TestSearchCommand:
+    BASE = {
+        "population": 6, "cycles": 4, "mutation_times": 2, "seed": 11,
+        "batch": "gauss:4x3x6x6", "nodes": 4, "depth": 1, "stem_channels": 4,
+    }
+
     def write_config(self, tmp_path, **extra):
-        lines = [
-            "population = 6",
-            "cycles = 4",
-            "mutation_times = 2",
-            "seed = 11",
-            "batch = gauss:4x3x6x6",
-            "nodes = 4",
-            "depth = 1",
-            "stem_channels = 4",
-        ]
-        lines += [f"{k} = {v}" for k, v in extra.items()]
+        """A config of ``BASE`` with ``extra`` merged over it; a key is set once."""
         path = tmp_path / "search.cfg"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("".join(f"{k} = {v}\n" for k, v in {**self.BASE, **extra}.items()))
         return str(path)
 
     def test_run_twice_produces_byte_identical_files(self, capsys, tmp_path):
@@ -203,6 +236,42 @@ class TestSearchCommand:
         assert out == ""
         assert not summary.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"reg": "none", "mu": "1", "sigma": "1"}, "config key reg has no effect with mu and sigma"),
+            ({"reg": "auto", "mu": "1", "sigma": "1"}, "config key reg has no effect with mu and sigma"),
+            ({"head_units": "5"}, "config key head_units has no effect without head"),
+            ({"head": "false", "head_units": "10"}, "config key head_units has no effect without head"),
+            ({"mu": "1"}, "config must set mu and sigma together"),
+        ],
+        ids=["reg-none", "reg-auto", "head-units", "head-units-default", "mu-alone"],
+    )
+    def test_key_combination_rejected(self, capsys, tmp_path, score_calls, extra, message):
+        code, out, err = run(capsys, "search", "--config", self.write_config(tmp_path, **extra))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == "" and score_calls == []
+
+    def test_head_units_with_head_accepted(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, cycles=1, head="true", head_units="5")
+        assert run(capsys, "search", "--config", cfg)[0] == 0
+
+    def test_repeated_key_names_both_lines(self, capsys, tmp_path, score_calls):
+        path = tmp_path / "search.cfg"
+        path.write_text("population = 4\n# comment\ncycles = 2\npopulation = 6\n")
+        code, out, err = run(capsys, "search", "--config", str(path))
+        assert code == 1
+        assert err == f"error: {path}: line 4: duplicate key 'population' (first seen on line 1)\n"
+        assert out == "" and score_calls == []
+
+    def test_line_without_equals_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "search.cfg"
+        path.write_text("population = 4\ncycles 2\n")
+        code, _, err = run(capsys, "search", "--config", str(path))
+        assert code == 1
+        assert err == f"error: {path}: line 2: expected key = value, got 'cycles 2'\n"
+
     def test_resume_from_checkpoint(self, capsys, tmp_path):
         ckpt = tmp_path / "search.ckpt"
         cell_out = tmp_path / "best.cell"
@@ -255,12 +324,6 @@ class TestSearchCommand:
         assert "not a SWAPCKPT 3 checkpoint: 'SWAPCKPT 2'" in err
         assert out == ""
 
-    @staticmethod
-    def invalid_population(body: str) -> str:
-        data = json.loads(body)
-        data["population"][3]["cell"] = "nodes = 4;matrix = " + " ".join(["0"] * 16)
-        return json.dumps(data, sort_keys=True)
-
     @pytest.mark.parametrize(
         "make_body, fault",
         [
@@ -269,12 +332,37 @@ class TestSearchCommand:
             (lambda body: "[1,2]", "checkpoint body is not a JSON object"),
             (lambda body: "not json", "checkpoint body is not JSON: Expecting value"),
             (
-                invalid_population,
+                edit_individual(cell="nodes = 4;matrix = " + " ".join(["0"] * 16)),
                 "checkpoint population invalid: individual 3 has an invalid cell: "
                 "source node 0 has no outgoing connection",
             ),
+            (edit_body(cycle=-1), "checkpoint cycle invalid: expected a non-negative integer, got -1"),
+            (edit_body(trace=[1.0, "x"]), "checkpoint trace invalid: expected a list of numbers"),
+            (edit_body(population=[]), "checkpoint population invalid: expected a list of 6 individuals"),
+            (
+                edit_body(population=[[]] * 6),
+                "checkpoint population invalid: individual 0 is not an object with a cell string",
+            ),
+            (
+                edit_individual(score="high"),
+                "checkpoint population invalid: individual 3 score: "
+                "expected a finite number >= 0, got 'high'",
+            ),
+            (
+                edit_individual(size_mb=0.0),
+                "checkpoint population invalid: individual 3 size_mb: "
+                "expected a finite number > 0, got 0.0",
+            ),
+            (
+                edit_individual(birth=1.5),
+                "checkpoint population invalid: individual 3 birth: "
+                "expected a non-negative integer, got 1.5",
+            ),
         ],
-        ids=["empty", "empty-config", "list", "not-json", "invalid-cell"],
+        ids=[
+            "empty", "empty-config", "list", "not-json", "invalid-cell", "cycle", "trace",
+            "population-size", "individual-not-object", "score", "size", "birth",
+        ],
     )
     def test_malformed_checkpoint_names_the_file_and_the_fault(
         self, capsys, tmp_path, make_body, fault
@@ -452,6 +540,24 @@ class TestSweep:
         assert code == 1
         assert "MU:SIGMA" in err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("1:1,2:0", "grid point '2:0': sigma must be positive and finite"),
+            ("1:1,-1:1", "grid point '-1:1': mu must be positive and finite"),
+            ("1:1,a:1", "grid point 'a:1': could not convert string to float: 'a'"),
+            ("1:1,2", "grid point '2' must be MU:SIGMA"),
+            (" , ", "empty grid"),
+        ],
+        ids=["sigma", "mu", "text", "no-colon", "empty"],
+    )
+    def test_bad_grid_point_rejected_before_scoring(self, capsys, tmp_path, score_calls, grid, message):
+        truth = write_table(tmp_path / "truth.csv")
+        code, out, err = run(capsys, "sweep", "--truth", truth, *TABLE_FLAGS, "--grid", grid)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == "" and score_calls == []
+
 
 class TestTableScoringErrors:
     @pytest.mark.parametrize("cmd, threads", [("correlate", "0"), ("sweep", "-3")])
@@ -538,6 +644,17 @@ class TestTableScoringErrors:
         assert f"{scores}: line 4: {message}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("cmd", [("correlate",), ("sweep", "--grid", "1:1")])
+    def test_invalid_cell_in_the_last_row_rejected_before_scoring(self, capsys, tmp_path, score_calls, cmd):
+        truth = tmp_path / "truth.csv"
+        rows = [f"t{i},{random_cell(4, i).encode_line()},0.5" for i in range(12)]
+        rows.append("t12,nodes = 2;matrix = 0 0 0 0,0.5")
+        truth.write_text("arch_id,cell,accuracy\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, *cmd, "--truth", str(truth), *TABLE_FLAGS)
+        assert code == 1
+        assert err == f"error: {truth}: line 14: cell CellMatrix([0 0], [0 0]) is not a cell document\n"
+        assert out == "" and score_calls == []
+
     @pytest.fixture
     def one_row_truth(self, tmp_path):
         truth = tmp_path / "truth.csv"
@@ -586,6 +703,29 @@ class TestAblateDims:
         assert code == 1
         assert f"{flag[0]} has no effect with --truth" in err
         assert out == ""
+
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ("3x32x32,0x6x6", "dims '0x6x6' must be at least 1 on every axis"),
+            ("3x4x-4", "dims '3x4x-4' must be at least 1 on every axis"),
+            ("3x4x4,3x4", "dims '3x4' must be CxWxH"),
+            (",", "empty dims list"),
+        ],
+        ids=["zero", "negative", "two-axes", "empty"],
+    )
+    def test_bad_dims_rejected_before_scoring(self, capsys, score_calls, dims, message):
+        code, out, err = run(capsys, "ablate-dims", "--dims", dims, "--cells", "20", "--depth", "1")
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == "" and score_calls == []
+
+    def test_head_units_without_head_rejected(self, capsys, score_calls):
+        code, out, err = run(capsys, "ablate-dims", "--dims", "3x4x4", "--cells", "2", "--head-units", "3")
+        assert code == 1
+        assert err == "error: --head-units has no effect without --head\n"
+        assert out == "" and score_calls == []
 
 
 class TestHistogram:

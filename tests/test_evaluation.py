@@ -198,6 +198,8 @@ class TestColumnRules:
         [
             ("table", "arch_id", "   ", "''", "is empty"),
             ("table", "cell", "nodes = 3", "'nodes = 3'", "is not a cell document"),
+            ("table", "cell", "nodes = 2;matrix = 0 0 0 0", "CellMatrix([0 0], [0 0])", "is not a cell document"),
+            ("table", "cell", "nodes = 2;matrix = 0 5 0 0", "CellMatrix([0 5], [0 0])", "is not a cell document"),
             ("table", "accuracy", "high", "'high'", "outside [0, 1]"),
             ("table", "accuracy", "-0.5", "-0.5", "outside [0, 1]"),
             ("table", "accuracy", "nan", "nan", "outside [0, 1]"),
@@ -224,6 +226,26 @@ class TestColumnRules:
         with pytest.raises(TableError) as exc:
             read(path)
         assert str(exc.value) == f"{path}: line 3: {column} {shown} {phrase}"
+
+
+    @pytest.mark.parametrize("fmt", ["table", "scores"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            ("{header}\n{row}\n{row},extra\n", "line 3: expected {n} columns, got {m}"),
+            ("{header}\n{row}\n\nb\n", "line 4: expected {n} columns, got 1"),
+        ],
+        ids=["empty", "extra-column", "short-row"],
+    )
+    def test_bad_shape_names_path_and_line(self, tmp_path, fmt, text, message):
+        good, read = (TABLE_ROW, load_accuracy_table) if fmt == "table" else (SCORE_ROW, read_score_records)
+        n = len(good)
+        path = tmp_path / f"{fmt}.csv"
+        path.write_text(text.format(header=",".join(good), row=",".join(good.values())))
+        with pytest.raises(TableError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: " + message.format(n=n, m=n + 1)
 
 
 # Ids a writer can hand back unchanged: printable ASCII, commas and quotes

@@ -121,6 +121,10 @@ class TestMutateConnectivity:
             assert codes_before == codes_after
             done += 1
 
+    def test_edgeless_cell_rejected(self):
+        with pytest.raises(NoEdgeError):
+            mutate_connectivity(CellMatrix([[0, 0], [0, 0]]), np.random.default_rng(0))
+
     def test_full_cell_saturates(self):
         full = CellMatrix([[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
         with pytest.raises(SaturationError):
@@ -229,6 +233,14 @@ class TestSearchLoop:
             small_config(crossover_prob=1.5)
         with pytest.raises(ValueError):
             small_config(tournament=99)
+        with pytest.raises(ValueError, match="cycles must be non-negative"):
+            small_config(cycles=-1)
+        with pytest.raises(ValueError, match="mutation_times must be at least 1"):
+            small_config(mutation_times=0)
+        with pytest.raises(ValueError, match='reg must be RegularisationParams, "auto" or None'):
+            small_config(reg="sometimes")
+        with pytest.raises(ValueError, match="cells need at least two nodes"):
+            small_config(nodes=1)
 
 
 class TestScoreMemo:
