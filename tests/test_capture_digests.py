@@ -4,6 +4,8 @@ Any change to graph assembly, weight drawing or the capturing forward pass
 that is meant to be exact must leave every digest below unchanged.  The
 cases cover NB201-like stacks, reductions, heads, MLPs with and without a
 head, standardisation on and off, and a graph with no scored layer.
+"nb201-full" runs the benchmark's assembly on 32x32 maps, where every 3x3
+conv gathers and multiplies its window matrix in two or more blocks.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from swapnas.cells import AssemblyConfig, NodeSpec, nb201_like_assembly, random_cell
+from swapnas.cells import AssemblyConfig, CellMatrix, NodeSpec, nb201_like_assembly, random_cell
 from swapnas.network import build_mlp, build_network, forward_capture, gaussian_batch, network_from_nodes
 
 UNSCORED = (
@@ -22,6 +24,10 @@ UNSCORED = (
     NodeSpec("gpool", "global-pool", (3,)),
     NodeSpec("head", "dense", (4,), units=5),
 )
+
+
+# Three 3x3 conv edges, a 1x1 conv, a pool and a skip.
+FULL_CELL = CellMatrix([[0, 1, 1, 2], [0, 0, 1, 3], [0, 0, 0, 4], [0, 0, 0, 0]])
 
 
 def _cell_case(cell_seed, assembly, dims, weight_seed):
@@ -41,6 +47,7 @@ CASES = {
     "mlp": (lambda: build_mlp(6, [5, 9, 4], seed=17), (6, 1, 1)),
     "mlp-head": (lambda: build_mlp(4, [8, 3], seed=18, head_units=2), (4, 1, 1)),
     "unscored": (lambda: network_from_nodes(UNSCORED, seed=19, in_channels=3), (3, 6, 5)),
+    "nb201-full": (lambda: build_network(FULL_CELL, nb201_like_assembly(), 21, 3), (3, 32, 32)),
 }
 
 EXPECTED = {
@@ -91,6 +98,14 @@ EXPECTED = {
     ("nb201-c", False): (
         "1940a6f5d72e0c0102e20ec767f66de058cd32454029c5bab2d18b8d57b6187c",
         "90168f02d8d57d759789d513f4d93023827668772a3a2d361eb6070148e34814",
+    ),
+    ("nb201-full", True): (
+        "c5d2ede9cdb1219509c48c7c39d0cfc67ce809841994c839c933bbfb4e9920e7",
+        "a7c11684efffb6c40983f60c41319b731ea1ad50a6d1fceeb01d4b39a25bda13",
+    ),
+    ("nb201-full", False): (
+        "38bd9d7811738539a4f5ed3321cca7268525dc413ec2c1c6d4c8d9cd4ed2e1a9",
+        "a7c11684efffb6c40983f60c41319b731ea1ad50a6d1fceeb01d4b39a25bda13",
     ),
     ("reduction-head", True): (
         "3fdc1ab1106038a13c83c206a6a2fbbce43e2368ee92f096b583eccd14e8df99",
