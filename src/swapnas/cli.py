@@ -42,7 +42,29 @@ class UsageError(ValueError):
     pass
 
 
+def _noting_given(action: type[argparse.Action]) -> type[argparse.Action]:
+    """``action`` that also adds its dest to ``namespace.given``."""
+
+    class NotingGiven(action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            super().__call__(parser, namespace, values, option_string)
+            namespace.given = namespace.given | {self.dest}
+
+    return NotingGiven
+
+
 class _Parser(argparse.ArgumentParser):
+    """Parser whose ``args.given`` holds the dest of every option on the command line.
+
+    An option given at its default value still counts as given.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.set_defaults(given=frozenset())
+        for name in (None, "store", "store_true", "store_false"):
+            self.register("action", name, _noting_given(self._registry_get("action", name)))
+
     def error(self, message):  # exit code 1 instead of argparse's default 2
         raise UsageError(message)
 
@@ -128,7 +150,7 @@ def _add_assembly_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
 
 
 def _assembly_from_args(args) -> AssemblyConfig:
-    if not args.head and args.head_units != AssemblyConfig.head_units:
+    if not args.head and "head_units" in args.given:
         raise UsageError("--head-units has no effect without --head")
     return AssemblyConfig(**{name: getattr(args, name) for name in _ASSEMBLY_FIELDS})
 
@@ -152,17 +174,17 @@ def _add_scoring_flags(p: argparse.ArgumentParser, *flags: str) -> list[argparse
 
 
 def _set_replaced_defaults(p: argparse.ArgumentParser, *actions: argparse.Action) -> None:
-    """Keep in ``args.replaced`` the flag and default of each option an input option makes moot.
+    """Keep in ``args.replaced`` the flag of each option an input option makes moot.
 
-    When that input option is given, each of these options must be left at
-    its default (see ``_reject_replaced``).
+    When that input option is given, none of these options may be given
+    (see ``_reject_replaced``).
     """
-    p.set_defaults(replaced={a.dest: (a.option_strings[0], a.default) for a in actions})
+    p.set_defaults(replaced={a.dest: a.option_strings[0] for a in actions})
 
 
 def _reject_replaced(args, source: str) -> None:
-    for dest, (flag, default) in args.replaced.items():
-        if getattr(args, dest) != default:
+    for dest, flag in args.replaced.items():
+        if dest in args.given:
             raise UsageError(f"{flag} has no effect with {source}")
 
 

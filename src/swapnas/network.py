@@ -197,34 +197,77 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
+# A block's window matrix holds about this many bytes, so it is still in
+# the L2 cache when the GEMM reads what the gather has just written.
+_CONV_BLOCK_BYTES = 1 << 20
+# OpenBLAS can run a dgemm with M*N*K at or below 10**6 on small-matrix
+# kernels, whose bytes differ from those of the one large GEMM; every block
+# of a split conv stays above this.
+_CONV_BLOCK_MIN_WORK = 10**6
+
+
+def _conv_blocks(s: int, rows: int, n_out: int, depth: int) -> list[int]:
+    """Sample edges of a conv's blocks: block i holds samples ``edges[i]:edges[i + 1]``.
+
+    ``rows`` is W'*H', the window matrix's rows per sample, and ``depth``
+    is C*k*k, its columns.  Row-wise blocks of one GEMM give that GEMM's
+    bytes only under this rule, which was measured on OpenBLAS 0.3.31: each
+    block but the last spans a multiple of 8 rows, so the kernel's row
+    tails fall where they fall in the one GEMM; each block has rows*n_out*depth
+    above ``_CONV_BLOCK_MIN_WORK``; and a one-output conv, which OpenBLAS
+    forwards to GEMV, is not split.  Blocks otherwise aim at
+    ``_CONV_BLOCK_BYTES``, and the last block takes the remaining samples,
+    so a conv that cannot meet the rule runs as one block.
+    """
+    if n_out < 2:
+        return [0, s]
+    step = 8 // math.gcd(rows, 8)  # the fewest samples spanning a multiple of 8 rows
+    per = max(_CONV_BLOCK_BYTES // (rows * depth * 8), _CONV_BLOCK_MIN_WORK // (rows * n_out * depth) + 1)
+    per = -(-per // step) * step
+    return [i * per for i in range(max(1, s // per))] + [s]
+
+
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Convolution as one GEMM over the window matrix.
+    """Convolution as a GEMM over the window matrix, a few samples at a time.
 
     Row (sample, w', h') of the window matrix holds the padded map's values
     under that output position's window in (channel, tap row, tap column)
     order.  It is the matrix ``tensordot`` reshapes out of a strided window
     view, and ``np.dot`` multiplies it by the same transposed weight view,
-    so the bytes are those of ``tensordot``; the property test in
-    tests/test_network.py checks it.  For a 1x1 kernel it is that same
+    so the bytes are those of ``tensordot``; the property tests in
+    tests/test_network.py check it.  For a 1x1 kernel it is that same
     reshape of the strided map: a view wherever ``tensordot``'s is one
     (BLAS can take another path on a view than on a copy), and free on an
-    NHWC-strided conv output.  A larger kernel's is always a C-contiguous
-    copy, gathered with one flat index.
+    NHWC-strided conv output.  A larger kernel's is gathered with one flat
+    index into a reused block buffer and multiplied block by block into
+    the rows of one output array (see ``_conv_blocks``), so it is never
+    built whole; a conv of one block is the one GEMM of the whole matrix.
     """
     n_out, c, k, _ = w.shape
+    wt = w.reshape(n_out, -1).T
     x = _pad(x, padding)
     s, _, wp, hp = x.shape
     wo, ho = (wp - k) // stride + 1, (hp - k) // stride + 1
     if k == 1:
         cols = x[:, :, ::stride, ::stride].transpose(0, 2, 3, 1).reshape(-1, c)
+        del x  # free the padded copy before the GEMM allocates its output
+        y = np.dot(cols, wt)
     else:
+        rows, depth = wo * ho, c * k * k
         corners = (np.arange(wo) * (stride * hp))[:, None] + np.arange(ho) * stride
         taps = (np.arange(c) * (wp * hp))[:, None, None] + (np.arange(k) * hp)[:, None] + np.arange(k)
         index = corners.reshape(-1, 1) + taps.reshape(1, -1)
-        cols = np.take(x.reshape(s, -1), index, axis=1).reshape(-1, c * k * k)
-        del index
-    del x  # free the padded copy before the GEMM allocates its output
-    y = np.dot(cols, w.reshape(n_out, -1).T)
+        edges = _conv_blocks(s, rows, n_out, depth)
+        flat = x.reshape(s, -1)
+        cols = np.empty((edges[-1] - edges[-2], rows, depth))  # the last block is the largest
+        y = np.empty((s * rows, n_out))
+        for a, b in zip(edges, edges[1:]):
+            block = cols[: b - a]
+            # Every index is in range, so "wrap" never wraps.  Unlike the
+            # default "raise", it lets np.take write straight into the block,
+            # and it gathers faster than "clip".
+            np.take(flat[a:b], index, axis=1, out=block, mode="wrap")
+            np.dot(block.reshape(-1, depth), wt, out=y[a * rows : b * rows])
     return np.transpose(y.reshape(s, wo, ho, n_out), (0, 3, 1, 2))
 
 

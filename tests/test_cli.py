@@ -141,6 +141,13 @@ class TestScore:
         assert err == "error: --head-units has no effect without --head\n"
         assert out == "" and score_calls == []
 
+    def test_head_units_at_its_default_without_head_rejected(self, capsys, cell_file, score_calls):
+        # A flag is moot when given, whatever its value.
+        code, out, err = run(capsys, "score", "--cell", cell_file, "--head-units", "10")
+        assert code == 1
+        assert err == "error: --head-units has no effect without --head\n"
+        assert out == "" and score_calls == []
+
     def test_mu_without_sigma_rejected(self, capsys, cell_file):
         code, _, err = run(capsys, "score", "--cell", cell_file, "--mu", "1.0")
         assert code == 1
@@ -601,6 +608,27 @@ class TestTableScoringErrors:
         assert f"{flag[0]} has no effect with --scores" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "cmd, flag",
+        [
+            (("correlate",), ("--threads", "1")),
+            (("correlate",), ("--seeds", "5")),
+            (("correlate",), ("--depth", "3")),
+            (("sweep", "--grid", "1:1"), ("--seeds", "1")),
+            (("sweep", "--grid", "1:1"), ("--batch", "gauss:32x3x32x32")),
+        ],
+        ids=["correlate-threads", "correlate-seeds", "correlate-depth", "sweep-seeds", "sweep-batch"],
+    )
+    def test_scoring_flag_at_its_default_with_precomputed_scores_rejected(self, capsys, tmp_path, cmd, flag):
+        truth = write_table(tmp_path / "truth.csv")
+        scores = tmp_path / "scores.csv"
+        code, _, _ = run(capsys, "correlate", "--truth", truth, *TABLE_FLAGS, "--save-scores", str(scores))
+        assert code == 0
+        code, out, err = run(capsys, *cmd, "--truth", truth, "--scores", str(scores), *flag)
+        assert code == 1
+        assert err == f"error: {flag[0]} has no effect with --scores\n"
+        assert out == ""
+
     def test_padded_score_ids_match_their_table_rows(self, capsys, tmp_path):
         truth = write_table(tmp_path / "truth.csv")
         scores = tmp_path / "scores.csv"
@@ -694,7 +722,7 @@ class TestAblateDims:
         assert code == 0
         assert out.count("dims=") == 1
 
-    @pytest.mark.parametrize("flag", [("--cells", "3"), ("--nodes", "9")])
+    @pytest.mark.parametrize("flag", [("--cells", "3"), ("--nodes", "9"), ("--cells", "100"), ("--nodes", "4")])
     def test_random_cell_flags_rejected_with_truth(self, capsys, truth_file, flag):
         code, out, err = run(
             capsys, "ablate-dims", "--dims", "3x5x5", "--truth", truth_file, *flag,
@@ -721,8 +749,9 @@ class TestAblateDims:
         assert err == f"error: {message}\n"
         assert out == "" and score_calls == []
 
-    def test_head_units_without_head_rejected(self, capsys, score_calls):
-        code, out, err = run(capsys, "ablate-dims", "--dims", "3x4x4", "--cells", "2", "--head-units", "3")
+    @pytest.mark.parametrize("units", ["3", "10"])
+    def test_head_units_without_head_rejected(self, capsys, score_calls, units):
+        code, out, err = run(capsys, "ablate-dims", "--dims", "3x4x4", "--cells", "2", "--head-units", units)
         assert code == 1
         assert err == "error: --head-units has no effect without --head\n"
         assert out == "" and score_calls == []

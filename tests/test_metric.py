@@ -1,6 +1,7 @@
 """Unit and property tests for the pattern-cardinality metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ def naive_row_count(bits: np.ndarray) -> int:
 
 def naive_col_count(bits: np.ndarray) -> int:
     return naive_row_count(np.asarray(bits).T)
+
+
+NO_ROWS = np.zeros((0, 1), dtype=np.uint8)
 
 
 class TestActivationCapture:
@@ -60,6 +64,30 @@ class TestActivationCapture:
     def test_rejects_zero_samples(self):
         with pytest.raises(ContractViolationError):
             ActivationCapture.from_bits(np.zeros((3, 0)))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ActivationCapture(np.zeros(3, dtype=np.uint8), 4), "packed_rows must be a 2-D byte array"),
+            (lambda: ActivationCapture(np.zeros((2, 1), dtype=np.uint8), 0), "a capture needs at least one sample"),
+            (
+                lambda: ActivationCapture(np.zeros((2, 2), dtype=np.uint8), 17),
+                "expected 3 bytes per row for 17 samples, got 2",
+            ),
+            (lambda: ActivationCapture.from_bits(np.zeros(3)), "bit matrix must be 2-D"),
+            (lambda: ActivationCapture.from_bits(np.array([[0, 2]])), "bit matrix entries must be 0 or 1"),
+            (lambda: ActivationCapture(NO_ROWS, 4).transpose(), "cannot transpose an empty capture"),
+            (lambda: swap_score(ActivationCapture(NO_ROWS, 4)), "empty capture"),
+            (lambda: regularised_swap_score(-1, 1.0, RegularisationParams(1.0, 1.0)), "score must be non-negative"),
+        ],
+        ids=[
+            "1-d", "no-samples", "row-width", "bits-1-d", "bits-not-binary",
+            "transpose-empty", "swap-empty", "negative-score",
+        ],
+    )
+    def test_contract_errors_name_the_fault(self, call, message):
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @st.composite

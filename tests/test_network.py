@@ -1,21 +1,25 @@
 """Tests for network building, the value count and the capturing forward pass."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
-from swapnas.cells import AssemblyConfig, CellMatrix, NodeSpec, ShapeError, random_cell
+from swapnas.cells import AssemblyConfig, AssemblyError, CellMatrix, NodeSpec, ShapeError, random_cell
 from swapnas.metric import standard_pattern_cardinality, swap_score
 from swapnas.network import (
     InputBatch,
     NetworkInstance,
     NumericOverflowError,
+    _CONV_BLOCK_MIN_WORK,
     _STANDARDISE_EPS,
     _avg_pool,
     _conv2d,
+    _conv_blocks,
     _standardise,
     build_mlp,
     build_network,
@@ -87,6 +91,24 @@ class TestInputBatch:
         with pytest.raises(ValueError, match="SWAPTENSOR"):
             read_tensor_file(path)
 
+    def test_tensor_file_rejects_non_integer_dims(self, tmp_path):
+        path = tmp_path / "bad.tensor"
+        path.write_bytes(b"SWAPTENSOR v1 2 one 2 2\n")
+        with pytest.raises(ValueError, match=re.escape("malformed tensor header 'SWAPTENSOR v1 2 one 2 2'")):
+            read_tensor_file(path)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (np.zeros((2, 2, 2)), "input batch must have axes (sample, channel, width, height)"),
+            (np.zeros((2, 0, 2, 2)), "all batch axes must be positive, got (2, 0, 2, 2)"),
+        ],
+        ids=["three-axes", "empty-axis"],
+    )
+    def test_rejects_bad_shapes(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            InputBatch(data)
+
     def test_tensor_file_rejects_short_payload(self, tmp_path):
         path = tmp_path / "short.tensor"
         path.write_bytes(b"SWAPTENSOR v1 2 1 2 2\n" + b"\x00" * 8)
@@ -115,6 +137,20 @@ class TestBuildNetwork:
         net = build_network(ALL_SKIP, cfg, seed=0)
         weighted = [n.name for n, w in zip(net.nodes, net.weights) if w is not None]
         assert weighted == ["stem", "head.linear"]
+
+    def test_one_weight_slot_per_node_required(self):
+        net = build_mlp(3, [2], seed=0)
+        with pytest.raises(AssemblyError, match="^one weight slot per node is required$"):
+            NetworkInstance(net.nodes, net.weights[:-1], net.seed, net.in_channels)
+
+    @pytest.mark.parametrize(
+        "in_features, hidden, message",
+        [(0, [3], "in_features must be at least 1"), (3, [2, 0], "hidden layer sizes must be at least 1")],
+        ids=["no-features", "empty-layer"],
+    )
+    def test_mlp_sizes_checked(self, in_features, hidden, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_mlp(in_features, hidden, seed=0)
 
     def test_fan_in_scaling(self):
         cfg = AssemblyConfig(depth=1, stem_channels=64)
@@ -311,6 +347,46 @@ def conv_inputs(draw):
     return x, weights, stride, padding
 
 
+@st.composite
+def multi_block_convs(draw):
+    """Shapes of 3x3 convolutions of two or more blocks, and a seed for their values.
+
+    Maps reach 36x36 with up to 48 channels and samples, in both layouts.
+    The sample count is drawn last, from the counts that split the conv,
+    and the oracle's window matrix stays below 16 MB.
+    """
+    c, n_out = draw(st.integers(1, 48)), draw(st.integers(2, 48))
+    stride, padding = draw(st.sampled_from((1, 2))), draw(st.sampled_from((0, 1)))
+    w, h = (draw(st.integers(3 - 2 * padding, 36)) for _ in range(2))
+    rows = ((w + 2 * padding - 3) // stride + 1) * ((h + 2 * padding - 3) // stride + 1)
+    per = _conv_blocks(96, rows, n_out, c * 9)[1]  # samples in each block but the last
+    most = min(48, 2_000_000 // (rows * c * 9))
+    assume(2 * per <= most)
+    s = draw(st.integers(2 * per, most))
+    return (s, c, w, h), n_out, stride, padding, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def seeded_conv_case(shape, n_out, stride, padding, nhwc, seed):
+    """A map of ``shape`` (NHWC-strided if ``nhwc``) with a tenth of its values
+    set to 0.0 and a tenth to -0.0, and (n_out, C, 3, 3) weights."""
+    rng = np.random.default_rng(seed)
+    s, c, w, h = shape
+    x = rng.standard_normal((s, w, h, c) if nhwc else shape)
+    for zero in (0.0, -0.0):
+        x.flat[rng.integers(x.size, size=x.size // 10)] = zero
+    if nhwc:
+        x = x.transpose(0, 3, 1, 2)
+    return x, rng.standard_normal((n_out, c, 3, 3)), stride, padding
+
+
+def tensordot_conv(x, w, stride, padding):
+    """The conv of earlier versions, kept as the oracle: tensordot over a
+    strided window view reshapes out the window matrix the conv builds."""
+    k = w.shape[-1]
+    windows = sliding_window_view(np_pad(x, padding), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.transpose(np.tensordot(windows, w, axes=[(1, 4, 5), (1, 2, 3)]), (0, 3, 1, 2))
+
+
 class TestConv2d:
     @settings(max_examples=400, deadline=None)
     @given(conv_inputs())
@@ -319,16 +395,41 @@ class TestConv2d:
     @example((np.full((1, 6, 1, 2), 1.85474576e-07), np.full((1, 6, 1, 1), 0.3125), 1, 0))
     @example((np.full((1, 9, 2, 2), 1.0), np.full((1, 9, 1, 1), 0.1), 2, 0))
     def test_matches_tensordot_bytewise(self, case):
-        # The conv of earlier versions, kept as the oracle: tensordot over a
-        # strided window view reshapes out the window matrix the conv builds.
-        x, w, stride, padding = case
-        k = w.shape[-1]
-        windows = sliding_window_view(np_pad(x, padding), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-        want = np.transpose(np.tensordot(windows, w, axes=[(1, 4, 5), (1, 2, 3)]), (0, 3, 1, 2))
-        got = _conv2d(x, w, stride, padding)
+        want = tensordot_conv(*case)
+        got = _conv2d(*case)
         assert got.shape == want.shape
         assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_block_convs())
+    def test_blocked_conv_matches_tensordot_bytewise(self, conv):
+        case = seeded_conv_case(*conv)
+        want = tensordot_conv(*case)
+        s, n_out, wo, ho = want.shape
+        assert len(_conv_blocks(s, wo * ho, n_out, case[1][0].size)) > 2
+        got = _conv2d(*case)
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=400)
+    @given(st.integers(1, 64), st.integers(1, 1300), st.integers(1, 64), st.integers(1, 600))
+    def test_blocks_follow_the_exactness_rule(self, s, rows, n_out, depth):
+        edges = _conv_blocks(s, rows, n_out, depth)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == s and (sizes > 0).all()
+        if n_out == 1:  # OpenBLAS forwards it to GEMV, so it is never split
+            assert len(sizes) == 1
+        if len(sizes) > 1:
+            assert (sizes[:-1] == sizes[0]).all() and sizes[-1] >= sizes[0]
+            assert (sizes[:-1] * rows % 8 == 0).all()
+            assert (sizes * rows * n_out * depth > _CONV_BLOCK_MIN_WORK).all()
+
+    def test_large_conv_splits_and_small_conv_does_not(self):
+        # 32x16x32x32 -> 16, the benchmark's largest conv, and a search-small one.
+        assert _conv_blocks(32, 32 * 32, 16, 16 * 9) == list(range(33))
+        assert _conv_blocks(16, 8 * 8, 8, 8 * 9) == [0, 16]
+        assert _conv_blocks(32, 32 * 32, 1, 16 * 9) == [0, 32]
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Tests for batch descriptors, seed derivation and record assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from swapnas.cells import (
     CellMatrix,
     count_flops,
     count_parameters,
+    nb201_like_assembly,
     params_to_megabytes,
     random_cell,
 )
@@ -121,6 +124,20 @@ class TestScoreCell:
             assert record.flops == count_flops(cell, cfg, batch.dims)
             expected = forward_capture(build_network(cell, cfg, 3), batch, standardise=False)
             assert np.array_equal(capture.packed_rows, expected.packed_rows)
+
+    def test_nb201_score_peak_memory(self):
+        # tracemalloc sees numpy's allocations and reads the same peak every
+        # run, unlike ru_maxrss.  Building each 3x3 conv's window matrix whole
+        # put this score at 58.5 MiB; blocks of about 1 MiB bring it to 33.
+        batch = make_batch("gauss:32x3x32x32", 0)
+        cell = CellMatrix([[0, 1, 0, 2], [0, 0, 4, 3], [0, 0, 0, 3], [0, 0, 0, 0]])
+        tracemalloc.start()
+        try:
+            score_cell(cell, nb201_like_assembly(), batch, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestOneAssemblyPerScore:
