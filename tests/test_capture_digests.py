@@ -5,7 +5,10 @@ that is meant to be exact must leave every digest below unchanged.  The
 cases cover NB201-like stacks, reductions, heads, MLPs with and without a
 head, standardisation on and off, and a graph with no scored layer.
 "nb201-full" runs the benchmark's assembly on 32x32 maps, where every 3x3
-conv gathers and multiplies its window matrix in two or more blocks.
+conv gathers and multiplies its window matrix in two or more blocks.  The
+"pool-" cases pin the degenerate maps an avg-pool edge can read: Wx1 maps,
+whose pool output has height 1, and a single sample on 1xH maps, where
+numpy flags a conv's NHWC-strided output as Fortran-contiguous.
 """
 
 import hashlib
@@ -48,7 +51,14 @@ CASES = {
     "mlp-head": (lambda: build_mlp(4, [8, 3], seed=18, head_units=2), (4, 1, 1)),
     "unscored": (lambda: network_from_nodes(UNSCORED, seed=19, in_channels=3), (3, 6, 5)),
     "nb201-full": (lambda: build_network(FULL_CELL, nb201_like_assembly(), 21, 3), (3, 32, 32)),
+    "pool-wx1": (lambda: build_network(FULL_CELL, AssemblyConfig(depth=2, stem_channels=4), 22, 3), (3, 7, 1)),
+    "pool-1xh-s1": (
+        lambda: build_network(FULL_CELL, AssemblyConfig(depth=2, stem_channels=4, reductions=(1,)), 23, 3),
+        (3, 1, 6),
+    ),
 }
+# Batches have 11 samples, except for the cases named here.
+N_SAMPLES = {"pool-1xh-s1": 1}
 
 EXPECTED = {
     ("head", True): (
@@ -107,6 +117,22 @@ EXPECTED = {
         "38bd9d7811738539a4f5ed3321cca7268525dc413ec2c1c6d4c8d9cd4ed2e1a9",
         "a7c11684efffb6c40983f60c41319b731ea1ad50a6d1fceeb01d4b39a25bda13",
     ),
+    ("pool-1xh-s1", True): (
+        "2377909986be0a8534c476e18ca6fae0d5d606d8b61c8bbf5be31960b50e48fe",
+        "f58832bf9d03f1c3b84f56abca52a32a679d3f1f190703394055f67e9a0560c4",
+    ),
+    ("pool-1xh-s1", False): (
+        "43fb30ef58c92301beb4e256fcc93e40ff497c6f30202b564e6cd86e949c74e3",
+        "f58832bf9d03f1c3b84f56abca52a32a679d3f1f190703394055f67e9a0560c4",
+    ),
+    ("pool-wx1", True): (
+        "ba8bda74d59da76203a82670a944fde36936e8f53aae06d2366f1f3d1d02fb0c",
+        "d91595580fe5933972f116d9f3ec43936dd167b100189d61858dd386b6d3e260",
+    ),
+    ("pool-wx1", False): (
+        "c7d5f99a27e1f196460f586b412c238e10bee5786d6374ad6308a3e1ce980438",
+        "d91595580fe5933972f116d9f3ec43936dd167b100189d61858dd386b6d3e260",
+    ),
     ("reduction-head", True): (
         "3fdc1ab1106038a13c83c206a6a2fbbce43e2368ee92f096b583eccd14e8df99",
         "cfebfde022a11afbbb8dab4675004866611bd713e4a031ab28a672d7c3cf01df",
@@ -150,7 +176,7 @@ def _digest(*arrays) -> str:
 def test_capture_and_weight_digests(name, standardise):
     make_net, dims = CASES[name]
     net = make_net()
-    batch = gaussian_batch(11, dims, seed=20)
+    batch = gaussian_batch(N_SAMPLES.get(name, 11), dims, seed=20)
     capture = forward_capture(net, batch, standardise=standardise)
     got = (_digest(capture.packed_rows), _digest(*net.weights))
     assert got == EXPECTED[name, standardise]

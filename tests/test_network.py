@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
-from swapnas.cells import AssemblyConfig, AssemblyError, CellMatrix, NodeSpec, ShapeError, random_cell
+from swapnas.cells import (
+    AssemblyConfig,
+    AssemblyError,
+    CellMatrix,
+    NodeSpec,
+    ShapeError,
+    nb201_like_assembly,
+    random_cell,
+    trace_shapes,
+)
 from swapnas.metric import standard_pattern_cardinality, swap_score
 from swapnas.network import (
     InputBatch,
@@ -452,24 +461,32 @@ def standardise_inputs(draw):
     return y * 10.0 ** draw(st.integers(-6, 6))
 
 
+def mean_var_standardise(y):
+    """The per-channel standardisation of earlier versions, kept as the oracle."""
+    axes = (0, 2, 3)
+    mean, var = y.mean(axis=axes, keepdims=True), y.var(axis=axes, keepdims=True)
+    return (y - mean) / np.sqrt(var + _STANDARDISE_EPS)
+
+
 class TestStandardise:
     @settings(max_examples=400, deadline=None)
     @given(standardise_inputs())
     def test_matches_the_mean_var_formula_bytewise(self, y):
-        # The standardisation of earlier versions, kept as the oracle.  The
-        # one-mean form rests on the float operations numpy's mean and var
-        # run, so a numpy upgrade that changes them fails here.
-        axes = (0, 2, 3)
-        mean, var = y.mean(axis=axes, keepdims=True), y.var(axis=axes, keepdims=True)
-        want = (y - mean) / np.sqrt(var + _STANDARDISE_EPS)
-        got = _standardise(y, axes)
+        # The one-mean form rests on the float operations numpy's mean and
+        # var run, so a numpy upgrade that changes them fails here.
+        want = mean_var_standardise(y)
+        got = _standardise(y, (0, 2, 3))
         assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
 
 
 @st.composite
 def cells_with_batches(draw):
-    """Small random cell stacks, with reductions and heads, and a batch for each."""
+    """Small random cell stacks, with reductions and heads, and a batch for each.
+
+    Batches hold 1 to 17 samples, so packed rows are 1 to 3 bytes wide, on
+    maps of 1 to 12 per side.
+    """
     cell = random_cell(draw(st.integers(2, 5)), draw(st.integers(0, 2**32 - 1)))
     depth = draw(st.integers(1, 3))
     assembly = AssemblyConfig(
@@ -481,8 +498,120 @@ def cells_with_batches(draw):
     )
     channels = draw(st.integers(1, 3))
     net = build_network(cell, assembly, seed=draw(st.integers(0, 2**32 - 1)), in_channels=channels)
-    dims = (channels, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
-    return net, gaussian_batch(draw(st.integers(1, 6)), dims, seed=draw(st.integers(0, 2**32 - 1)))
+    dims = (channels, draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    return net, gaussian_batch(draw(st.integers(1, 17)), dims, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def window_mean_pool(x):
+    """The 3x3, stride-1, padding-1 average pool's oracle: numpy's window
+    mean of the C-contiguous ``np_pad`` map.
+
+    numpy sums each window's 3-tap rows and then the row sums only on a map
+    whose output height exceeds 1, so a map of height 1 is widened along H
+    by one zero column, and output column 0 is kept.
+    """
+    padded = np.ascontiguousarray(np_pad(x, 1))
+    if x.shape[3] == 1:
+        padded = np.concatenate([padded, np.zeros(padded.shape[:3] + (1,))], axis=3)
+    mean = sliding_window_view(padded, (3, 3), axis=(2, 3)).mean(axis=(4, 5))
+    return np.ascontiguousarray(mean[..., : x.shape[3]])
+
+
+def place_value_pack(bits):
+    """(values x samples) 0/1 rows packed eight samples a byte, the first in the high bit."""
+    v, s = bits.shape
+    padded = np.concatenate([bits, np.zeros((v, -s % 8), dtype=bits.dtype)], axis=1).astype(np.int64)
+    return (padded.reshape(v, -1, 8) << np.arange(7, -1, -1)).sum(axis=2).astype(np.uint8)
+
+
+def reference_capture(net, batch, standardise):
+    """The capturing forward pass rebuilt from the oracles of this file.
+
+    Every node's output is a new array that is kept to the end, so no fast
+    path, in-place ReLU or early free is involved; fan-in sums run in input
+    order, as ``forward_capture``'s do.  Returns the packed capture rows.
+    """
+    n = batch.n_samples
+    values, rows = [], [np.zeros((0, n), dtype=bool)]
+    for node, w in zip(net.nodes, net.weights):
+        if node.kind == "input":
+            values.append(batch.data)
+            continue
+        x = sum((values[i] for i in node.inputs[1:]), values[node.inputs[0]])
+        if node.kind == "conv":
+            out = tensordot_conv(x, w, node.stride, node.padding)
+        elif node.kind == "avg-pool":
+            out = window_mean_pool(x)
+        elif node.kind == "skip":
+            out = x
+        elif node.kind == "global-pool":
+            out = x.mean(axis=(2, 3), keepdims=True)
+        else:
+            out = (x.reshape(n, -1) @ w.T).reshape(n, -1, 1, 1)
+        if node.scored:
+            if standardise:
+                out = mean_var_standardise(out)
+            rows.append((out > 0).transpose(1, 2, 3, 0).reshape(-1, n))
+            out = np.maximum(out, 0.0)
+        values.append(out)
+    return place_value_pack(np.concatenate(rows))
+
+
+def splits_a_conv(net, batch):
+    """Whether some 3x3 conv of ``net`` runs in two or more blocks on ``batch``."""
+    shapes = trace_shapes(net.nodes, batch.dims)
+    return any(
+        len(_conv_blocks(batch.n_samples, wo * ho, node.channels_out, shapes[node.inputs[0]][0] * 9)) > 2
+        for node, (_, wo, ho) in zip(net.nodes, shapes)
+        if node.kind == "conv" and node.kernel == 3
+    )
+
+
+# Three 3x3 conv edges, a 1x1 conv, a pool and a skip.
+FULL_CELL = CellMatrix([[0, 1, 1, 2], [0, 0, 1, 3], [0, 0, 0, 4], [0, 0, 0, 0]])
+
+# A scored skip on the read-only batch and one on a conv output that a later
+# conv still reads.
+SCORED_SKIPS = (
+    NodeSpec("input", "input"),
+    NodeSpec("relu-batch", "skip", (0,), scored=True),
+    NodeSpec("conv", "conv", (0,), channels_out=3, kernel=3, padding=1),
+    NodeSpec("relu-conv", "skip", (2,), scored=True),
+    NodeSpec("after", "conv", (2,), channels_out=3, kernel=1, scored=True),
+    NodeSpec("pool", "avg-pool", (3, 4), kernel=3, padding=1),
+    NodeSpec("out", "conv", (5,), channels_out=2, kernel=3, padding=1, scored=True),
+)
+
+
+class TestReferencePipeline:
+    @settings(max_examples=150, deadline=None)
+    @given(cells_with_batches(), st.booleans())
+    def test_capture_matches_the_reference_pass(self, case, standardise):
+        net, batch = case
+        got = forward_capture(net, batch, standardise=standardise).packed_rows
+        want = reference_capture(net, batch, standardise)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "make_net, dims, n_samples, standardise, blocked",
+        [
+            (lambda: build_network(FULL_CELL, nb201_like_assembly(), 31, 3), (3, 32, 32), 3, True, True),
+            (
+                lambda: build_network(
+                    FULL_CELL, AssemblyConfig(depth=2, stem_channels=8, reductions=(1,), head=True), 32, 3
+                ),
+                (3, 24, 20), 17, False, True,
+            ),
+            (lambda: network_from_nodes(SCORED_SKIPS, 33, 2), (2, 5, 4), 9, False, False),
+        ],
+        ids=["nb201-32x32", "reduction-head-24x20", "scored-skips"],
+    )
+    def test_fixed_graphs_match_the_reference_pass(self, make_net, dims, n_samples, standardise, blocked):
+        net, batch = make_net(), gaussian_batch(n_samples, dims, seed=34)
+        assert splits_a_conv(net, batch) == blocked
+        got = forward_capture(net, batch, standardise=standardise).packed_rows
+        assert got.tobytes() == reference_capture(net, batch, standardise).tobytes()
 
 
 class TestScaleInvariance:
