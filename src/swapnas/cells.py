@@ -295,6 +295,10 @@ class NodeSpec:
     scored: bool = False
 
 
+# The pool of ``EDGE_OPS``, whose kernel, stride and padding every avg-pool node must have.
+_POOL = next(NodeSpec(name, **f) for name, f in EDGE_OPS.values() if f["kind"] == "avg-pool")
+
+
 def assemble_descriptor(
     cell: CellMatrix, cfg: AssemblyConfig, in_channels: int = 3
 ) -> tuple[NodeSpec, ...]:
@@ -346,7 +350,7 @@ def assemble_descriptor(
 
 
 def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
-    """Channel count of each node's output, independent of spatial dims."""
+    """Channel count of each node's output, independent of spatial dims; rejects any pool but ``EDGE_OPS``'s."""
     channels: list[int] = []
     for node in nodes:
         if node.kind == "input":
@@ -358,6 +362,12 @@ def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
         if len(ins) != 1:
             raise AssemblyError(f"node {node.name} sums inputs of differing widths {sorted(ins)}")
         c = ins.pop()
+        window = (node.kernel, node.stride, node.padding)
+        if node.kind == "avg-pool" and window != (_POOL.kernel, _POOL.stride, _POOL.padding):
+            raise AssemblyError(
+                f"node {node.name} pools with kernel {node.kernel}, stride {node.stride}, padding {node.padding}; "
+                f"the only pool is {_POOL.name} (kernel {_POOL.kernel}, stride {_POOL.stride}, padding {_POOL.padding})"
+            )
         if node.kind == "conv":
             channels.append(node.channels_out)
         elif node.kind in ("avg-pool", "skip", "global-pool"):

@@ -237,8 +237,6 @@ def estimate_mu_sigma(sizes) -> RegularisationParams:
     is top accuracy rather than a size budget.
     """
     sizes = [float(s) for s in sizes]
-    if len(sizes) == 0:
-        raise ValueError("empty size sample")
     if len(sizes) < 2:
         raise ValueError("need at least two sizes to estimate the distribution")
     top = ceil_to_significant(max(sizes), 2)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cells import (
     AssemblyConfig,
@@ -186,13 +185,11 @@ def build_mlp(
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad both spatial axes, in the memory order ``np.pad`` would pick."""
+    """Zero-pad both spatial axes into a new C-contiguous map, whatever ``x``'s layout."""
     if not padding:
         return x
     s, c, w, h = x.shape
-    # F-order only for an F- and not C-contiguous map, as np.pad does: the
-    # window mean's summation order, and so its bytes, follow the layout.
-    out = np.zeros((s, c, w + 2 * padding, h + 2 * padding), order="F" if x.flags.fnc else "C")
+    out = np.zeros((s, c, w + 2 * padding, h + 2 * padding))
     out[:, :, padding:-padding, padding:-padding] = x
     return out
 
@@ -271,26 +268,18 @@ def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarr
     return np.transpose(y.reshape(s, wo, ho, n_out), (0, 3, 1, 2))
 
 
-def _avg_pool(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    x = _pad(x, padding)
-    # Same bytes as the window mean, which sums each window's 3-tap rows and
-    # then the three row sums, starting from +0.0 (so ``+= 0.0`` turns a
-    # -0.0 sum into +0.0 before the division).  numpy keeps that order only
-    # on a C-contiguous map with an output height above 1; elsewhere it
-    # merges or reorders the window axes, so the window mean runs instead.
-    # The property test in tests/test_network.py checks this guard.
-    if kernel == 3 and stride == 1 and x.shape[3] > 3 and x.flags.c_contiguous:
-        w, h = x.shape[2] - 2, x.shape[3] - 2
-        rows = x[..., :h] + x[..., 1 : h + 1]
-        rows += x[..., 2:]
-        del x  # free the padded copy before the output is allocated
-        out = rows[:, :, :w] + rows[:, :, 1 : w + 1]
-        out += rows[:, :, 2:]
-        out += 0.0
-        out /= 9
-        return out
-    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    return windows[:, :, ::stride, ::stride].mean(axis=(4, 5))
+def _avg_pool(x: np.ndarray) -> np.ndarray:
+    """The 3x3, stride-1, padding-1 average pool: separable sums on the C-contiguous padded map."""
+    x = _pad(x, 1)
+    w, h = x.shape[2] - 2, x.shape[3] - 2
+    rows = x[..., :h] + x[..., 1 : h + 1]  # 3-tap sums along H
+    rows += x[..., 2:]
+    del x  # free the padded copy before the output is allocated
+    out = rows[:, :, :w] + rows[:, :, 1 : w + 1]  # then three of those along W
+    out += rows[:, :, 2:]
+    out += 0.0  # a -0.0 sum becomes +0.0, as in numpy's window mean
+    out /= 9
+    return out
 
 
 def _standardise(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -348,7 +337,7 @@ def forward_capture(
             if node.kind == "conv":
                 out = _conv2d(x, net.weights[idx], node.stride, node.padding)
             elif node.kind == "avg-pool":
-                out = _avg_pool(x, node.kernel, node.stride, node.padding)
+                out = _avg_pool(x)
             elif node.kind == "skip":
                 out = x
             elif node.kind == "global-pool":

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import runpy
+import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -778,6 +781,17 @@ class TestHistogram:
 
 
 class TestHelpAndErrors:
+    def test_module_run_exits_with_the_status_main_returns(self, monkeypatch, capsys):
+        # ``python -m swapnas.cli`` runs the module as __main__.  The module
+        # is imported already, which runpy warns about; the run is still fresh.
+        monkeypatch.setattr(sys, "argv", ["swapnas", "ablate-dims", "--dims", "3x0x2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("swapnas.cli", run_name="__main__")
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == "error: dims '3x0x2' must be at least 1 on every axis\n"
+
     @pytest.mark.parametrize(
         "cmd", ["main", "score", "search", "correlate", "sweep", "ablate_dims", "histogram"]
     )

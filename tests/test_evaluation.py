@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapnas import evaluation
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell
 from swapnas.evaluation import (
     BenchmarkEntry,
@@ -337,6 +338,19 @@ class TestSpearman:
         with pytest.raises(UndefinedCorrelationError):
             spearman_rho([5, 5, 5], [1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ([1.0], [2.0], "need at least two observations"),
+            ([1.0, np.nan], [1.0, 2.0], "inputs must be finite"),
+            ([1.0, 2.0], [np.inf, 2.0], "inputs must be finite"),
+        ],
+        ids=["one", "nan-x", "inf-y"],
+    )
+    def test_too_few_or_non_finite_observations_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spearman_rho(x, y)
+
 
 class TestEstimateMuSigma:
     def test_constant_sizes(self):
@@ -355,11 +369,19 @@ class TestEstimateMuSigma:
         assert ceil_to_significant(0.3456) == pytest.approx(0.35)
         assert ceil_to_significant(1.5) == 1.5
 
-    def test_too_few_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_mu_sigma([])
-        with pytest.raises(ValueError):
-            estimate_mu_sigma([1.0])
+    @pytest.mark.parametrize("sizes", [[], [1.0]], ids=["none", "one"])
+    def test_too_few_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="^need at least two sizes to estimate the distribution$"):
+            estimate_mu_sigma(sizes)
+
+    @pytest.mark.parametrize("x", [0.0, -1.5, math.inf, math.nan])
+    def test_ceil_rejects_values_that_are_not_positive_and_finite(self, x):
+        with pytest.raises(ValueError, match="^value must be positive and finite$"):
+            ceil_to_significant(x)
+
+    def test_sizes_of_zero_rejected(self):
+        with pytest.raises(ValueError, match="^value must be positive and finite$"):
+            estimate_mu_sigma([0.0, 0.0])
 
 
 from synth_fixtures import SIZE_BIASED_GRID, size_biased_records
@@ -447,6 +469,14 @@ class TestCorrelationReport:
         with pytest.raises(InsufficientDataError):
             correlation_report(records, BenchmarkTable(entries))
 
+    def test_matches_split_over_seeds_rejected(self):
+        # Two matched records, but each alone in its seed group.
+        records = [record("a", 5, 0.5, seed=0), record("b", 7, 0.5, seed=1)]
+        entries = (BenchmarkEntry("a", CELL_A, 0.4), BenchmarkEntry("b", CELL_B, 0.6))
+        message = "^no seed group has two or more matched architectures$"
+        with pytest.raises(InsufficientDataError, match=message):
+            correlation_report(records, BenchmarkTable(entries))
+
 
 class TestScoreTable:
     def test_seed_groups_are_disjoint_and_cover_table(self, tmp_path):
@@ -501,6 +531,12 @@ class TestScoreTable:
         with pytest.raises(ValueError, match=f"got {workers}"):
             score_table(table, AssemblyConfig(depth=1, stem_channels=4), "gauss:4x3x5x5", n_workers=workers)
 
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_rejects_fewer_than_one_seed(self, seeds):
+        table = BenchmarkTable((BenchmarkEntry("a", CELL_A, 0.5), BenchmarkEntry("b", CELL_B, 0.5)))
+        with pytest.raises(ValueError, match="^need at least one seed$"):
+            score_table(table, AssemblyConfig(depth=1, stem_channels=4), "gauss:4x3x5x5", n_seeds=seeds)
+
 
 class TestSizeHistogram:
     def test_constant_list_occupies_one_bin(self):
@@ -520,6 +556,15 @@ class TestSizeHistogram:
         hist = size_histogram(rng.uniform(0, 1, size=10_000), 10)
         for count in hist.counts:
             assert abs(count - 1000) <= 100
+
+    @pytest.mark.parametrize(
+        "sizes, bins, message",
+        [([1.0, 2.0], 0, "need at least one bin"), ([], 3, "empty size sample")],
+        ids=["no-bins", "no-sizes"],
+    )
+    def test_rejects_no_bins_and_no_sizes(self, sizes, bins, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            size_histogram(sizes, bins)
 
 
 class TestInputDimAblation:
@@ -565,3 +610,42 @@ class TestInputDimAblation:
         assert bell(1) != bell(3)
         auto = input_dim_ablation(cells, dims, 6, assembly=asm, seed=2, reg="auto")
         assert auto == input_dim_ablation(cells, dims, 6, assembly=asm, seed=2, reg=bell(1))
+
+    @pytest.mark.parametrize(
+        "cells, dims, accuracies, message",
+        [
+            ([], [(3, 4, 4)], None, "empty cell list"),
+            ([CELL_A], [], None, "empty dims list"),
+            ([CELL_A, CELL_B], [(3, 4, 4)], [0.5], "need exactly one accuracy per cell"),
+        ],
+        ids=["no-cells", "no-dims", "accuracy-count"],
+    )
+    def test_rejects_empty_inputs_and_unmatched_accuracies(self, cells, dims, accuracies, message):
+        asm = AssemblyConfig(depth=1, stem_channels=4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            input_dim_ablation(cells, dims, 2, assembly=asm, accuracies=accuracies)
+
+
+class TestWriteReportCsv:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "no rows to write"),
+            ([{"a": 1, "b": 2}, {"b": 2, "a": 1}], "report rows must share one column set"),
+        ],
+        ids=["empty", "reordered-columns"],
+    )
+    def test_rejects_no_rows_and_ragged_rows(self, tmp_path, rows, message):
+        path = tmp_path / "report.csv"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_report_csv(path, rows)
+        assert not path.exists()
+
+    def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(evaluation.os, "replace", refuse)
+        with pytest.raises(OSError, match="^rename refused$"):
+            write_report_csv(tmp_path / "report.csv", [{"a": 1}])
+        assert list(tmp_path.iterdir()) == []

@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from swapnas.cells import (
     AssemblyConfig,
     AssemblyError,
+    EDGE_OPS,
     CellMatrix,
     NodeSpec,
     ShapeError,
@@ -151,6 +152,27 @@ class TestBuildNetwork:
         net = build_mlp(3, [2], seed=0)
         with pytest.raises(AssemblyError, match="^one weight slot per node is required$"):
             NetworkInstance(net.nodes, net.weights[:-1], net.seed, net.in_channels)
+
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            (dict(kernel=2, padding=1), "kernel 2, stride 1, padding 1"),
+            (dict(kernel=3, stride=2, padding=1), "kernel 3, stride 2, padding 1"),
+            (dict(kernel=3), "kernel 3, stride 1, padding 0"),
+        ],
+        ids=["kernel", "stride", "padding"],
+    )
+    def test_rejects_every_other_pool_geometry(self, geometry, message):
+        nodes = (NodeSpec("input", "input"), NodeSpec("edge", "avg-pool", (0,), **geometry))
+        want = f"node edge pools with {message}; the only pool is avgpool3x3 (kernel 3, stride 1, padding 1)"
+        with pytest.raises(AssemblyError, match=f"^{re.escape(want)}$"):
+            network_from_nodes(nodes, seed=0, in_channels=2)
+
+    def test_builds_the_edge_op_pool(self):
+        name, fields = next((n, f) for n, f in EDGE_OPS.values() if f["kind"] == "avg-pool")
+        nodes = (NodeSpec("input", "input"), NodeSpec(name, inputs=(0,), **fields))
+        net = network_from_nodes(nodes, seed=0, in_channels=2)
+        assert forward_capture(net, gaussian_batch(2, (2, 4, 3), seed=0)).n_values == 0
 
     @pytest.mark.parametrize(
         "in_features, hidden, message",
@@ -297,17 +319,16 @@ def np_pad(x, padding):
 
 
 @st.composite
-def pool_inputs(draw):
-    """(map, padding) pairs for a 3x3 stride-1 average pool.
+def pool_maps(draw):
+    """Maps for the 3x3, stride-1, padding-1 average pool.
 
-    Output widths and heights reach down to 1.  Maps come C-contiguous,
+    Widths and heights reach down to 1.  Maps come C-contiguous,
     NHWC-strided (a conv output is a (0, 3, 1, 2) transpose view) and
     Fortran-ordered, with signed or post-ReLU values; zeros of both signs
     are common because hypothesis fills most of each array with one value.
     """
-    padding = draw(st.integers(0, 1))
     s, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    w, h = draw(st.integers(3 - 2 * padding, 9)), draw(st.integers(3 - 2 * padding, 9))
+    w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     layout = draw(st.sampled_from(["nchw", "nhwc", "fortran"]))
     values = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
     if layout == "nhwc":
@@ -318,18 +339,15 @@ def pool_inputs(draw):
             x = np.asfortranarray(x)
     if draw(st.booleans()):
         x = np.maximum(x, 0.0)  # keeps the layout, and -0.0, as a ReLU does
-    return x, padding
+    return x
 
 
 class TestAvgPool:
     @settings(max_examples=400, deadline=None)
-    @given(pool_inputs())
-    def test_matches_the_window_mean_bytewise(self, case):
-        # The separable 3x3 sum may run only where it gives the window
-        # mean's exact bytes; this test is what defines that guard.
-        x, padding = case
-        want = sliding_window_view(np_pad(x, padding), (3, 3), axis=(2, 3)).mean(axis=(4, 5))
-        got = _avg_pool(x, 3, 1, padding)
+    @given(pool_maps())
+    def test_matches_the_window_mean_bytewise(self, x):
+        want = window_mean_pool(x)
+        got = _avg_pool(x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
