@@ -12,7 +12,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from swapnas.cells import (
     AssemblyConfig,
     AssemblyError,
-    EDGE_OPS,
     CellMatrix,
     NodeSpec,
     ShapeError,
@@ -167,12 +166,6 @@ class TestBuildNetwork:
         want = f"node edge pools with {message}; the only pool is avgpool3x3 (kernel 3, stride 1, padding 1)"
         with pytest.raises(AssemblyError, match=f"^{re.escape(want)}$"):
             network_from_nodes(nodes, seed=0, in_channels=2)
-
-    def test_builds_the_edge_op_pool(self):
-        name, fields = next((n, f) for n, f in EDGE_OPS.values() if f["kind"] == "avg-pool")
-        nodes = (NodeSpec("input", "input"), NodeSpec(name, inputs=(0,), **fields))
-        net = network_from_nodes(nodes, seed=0, in_channels=2)
-        assert forward_capture(net, gaussian_batch(2, (2, 4, 3), seed=0)).n_values == 0
 
     @pytest.mark.parametrize(
         "in_features, hidden, message",
@@ -521,8 +514,7 @@ def cells_with_batches(draw):
 
 
 def window_mean_pool(x):
-    """The 3x3, stride-1, padding-1 average pool's oracle: numpy's window
-    mean of the C-contiguous ``np_pad`` map.
+    """The avg-pool's oracle: numpy's window mean of the C-contiguous ``np_pad`` map.
 
     numpy sums each window's 3-tap rows and then the row sums only on a map
     whose output height exceeds 1, so a map of height 1 is widened along H
