@@ -350,7 +350,12 @@ def assemble_descriptor(
 
 
 def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
-    """Channel count of each node's output, independent of spatial dims; rejects any pool but ``EDGE_OPS``'s."""
+    """Channel count of each node's output, independent of spatial dims.
+
+    Rejects any pool but ``EDGE_OPS``'s, and an avg-pool, skip or
+    global-pool node that sets ``units`` or a ``channels_out`` other than 0
+    or its input's width.
+    """
     channels: list[int] = []
     for node in nodes:
         if node.kind == "input":
@@ -371,6 +376,16 @@ def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
         if node.kind == "conv":
             channels.append(node.channels_out)
         elif node.kind in ("avg-pool", "skip", "global-pool"):
+            # These keep their input's width; 0 leaves channels_out unset.
+            if node.channels_out not in (0, c):
+                raise AssemblyError(
+                    f"node {node.name} ({node.kind}) keeps its input's {c} channels "
+                    f"but sets channels_out {node.channels_out}"
+                )
+            if node.units:
+                raise AssemblyError(
+                    f"node {node.name} ({node.kind}) sets units {node.units}; only dense nodes take units"
+                )
             channels.append(c)
         elif node.kind == "dense":
             channels.append(node.units)

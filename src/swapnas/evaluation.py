@@ -101,12 +101,21 @@ class InsufficientDataError(ValueError):
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+    """Write ASCII text via a sibling temp file and rename, so readers never see partials.
+
+    The temp file is unique (``mkstemp``, mode 0600), so two writers to one
+    path never rename each other's partial file.  Non-ASCII text raises
+    ``UnicodeEncodeError`` before any file is made.
+    """
+    data = memoryview(text.encode("ascii"))
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -426,9 +435,10 @@ def input_dim_ablation(
     of ``batch_size`` samples is scored against every cell; the row
     reports mean and standard deviation of the standard cardinality, the
     sample-wise score and its regularised variant, plus rank correlations
-    against ``accuracies`` when given (None where undefined, e.g. under
-    full saturation).  ``reg="auto"`` estimates one bell for every row
-    from the sizes the cells score with in the first ``dims_list`` entry.
+    against ``accuracies`` when given (None where undefined: for a single
+    cell or under full saturation).  ``reg="auto"`` estimates one bell for
+    every row from the sizes the cells score with in the first
+    ``dims_list`` entry.
     """
     cells = list(cells)
     if not cells:
@@ -462,7 +472,7 @@ def input_dim_ablation(
             reg_swap_mean=float(np.mean(reg_vals)),
             reg_swap_std=float(np.std(reg_vals)),
         )
-        if accuracies is not None:
+        if accuracies is not None and len(cells) > 1:
             row = replace(
                 row,
                 rho_standard=_safe_rho(standard_vals, accuracies),

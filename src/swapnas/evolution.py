@@ -28,10 +28,13 @@ import numpy as np
 
 from .cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell
 from .evaluation import atomic_write_text, estimate_mu_sigma
-from .metric import RegularisationParams, ScoreRecord
+from .metric import RegularisationParams, ScoreRecord, regularised_swap_score
 from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_cell
 
 CHECKPOINT_MAGIC = "SWAPCKPT 3"
+
+# ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class NoEdgeError(ValueError):
@@ -186,6 +189,13 @@ class _SearchState:
         self.config_json = json.dumps(asdict(cfg), sort_keys=True)
         # Keyed on the cell itself, not its 64-bit digest, so a hit is exact.
         self.scored: dict[CellMatrix, ScoreRecord] = {}
+        # Checkpoint pieces, encoded the first time they are written: each
+        # member's JSON object keyed on the member's identity (the entry holds
+        # the member, so the id is not reused while cached), and each trace
+        # entry's JSON in order.  Neither is checkpointed; a resumed run
+        # rebuilds both.
+        self.member_json: dict[int, tuple[Individual, str]] = {}
+        self.trace_json: list[str] = []
 
     def initialise(self) -> None:
         cells = [random_cell(self.cfg.nodes, self.rng) for _ in range(self.cfg.population)]
@@ -207,11 +217,18 @@ class _SearchState:
         return record
 
     def individual(self, cell: CellMatrix, record: ScoreRecord) -> Individual:
-        """Apply the run's bell to a raw record and give it the next birth."""
-        record = record.regularised(self.reg)
+        """Apply the run's bell to a raw record and give it the next birth.
+
+        The score is ``record.regularised(self.reg).reg_swap``, computed
+        without copying the record.
+        """
+        if self.reg is None:
+            score = float(record.swap)
+        else:
+            score = regularised_swap_score(record.swap, record.size_mb, self.reg)
         birth = self.next_birth
         self.next_birth += 1
-        return Individual(cell, record.reg_swap, record.swap, record.size_mb, record.seed, birth)
+        return Individual(cell, score, record.swap, record.size_mb, record.seed, birth)
 
     def evaluate(self, cell: CellMatrix) -> Individual:
         return self.individual(cell, self.score(cell))
@@ -278,24 +295,29 @@ def config_differences(a: SearchConfig, b: SearchConfig) -> list[str]:
 def save_checkpoint(path, state: _SearchState) -> None:
     """Versioned structured-text snapshot enabling an exact resume.
 
-    The body is ``json.dumps(body, sort_keys=True)`` of every key below plus
-    ``"config"``; that key sorts first, so its cached JSON is spliced in front.
+    The body is ``json.dumps(body, sort_keys=True)`` of the keys below.  It
+    is joined from per-key JSON in sorted-key order: the config's JSON is
+    encoded once per run, each member's and each trace entry's once per
+    run, and only the counters, the bell and the generator state per call.
     """
-    rest = json.dumps(
-        {
-            "cycle": state.cycle,
-            "evaluations": state.evaluations,
-            "next_birth": state.next_birth,
-            "trace": state.trace,
-            "reg": None if state.reg is None else asdict(state.reg),
-            "population": [
-                {**vars(ind), "cell": ind.cell.encode_line()} for ind in state.population
-            ],
-            "rng_state": state.rng.bit_generator.state,
-        },
-        sort_keys=True,
-    )
-    body = '{"config": ' + state.config_json + ", " + rest[1:]
+    cached = state.member_json
+    state.member_json = {
+        id(ind): cached.get(id(ind)) or (ind, _encode({**vars(ind), "cell": ind.cell.encode_line()}))
+        for ind in state.population
+    }
+    state.trace_json += [_encode(score) for score in state.trace[len(state.trace_json):]]
+    pieces = {
+        "config": state.config_json,
+        "cycle": _encode(state.cycle),
+        "evaluations": _encode(state.evaluations),
+        "next_birth": _encode(state.next_birth),
+        "population": "[" + ", ".join(state.member_json[id(ind)][1] for ind in state.population) + "]",
+        "reg": _encode(None if state.reg is None else vars(state.reg)),
+        "rng_state": _encode(state.rng.bit_generator.state),
+        "trace": "[" + ", ".join(state.trace_json) + "]",
+    }
+    # Every key is a plain identifier, so its JSON is the key in quotes.
+    body = "{" + ", ".join(f'"{key}": {pieces[key]}' for key in sorted(pieces)) + "}"
     atomic_write_text(path, CHECKPOINT_MAGIC + "\n" + body + "\n")
 
 

@@ -397,6 +397,55 @@ class TestGraphWalkerErrors:
         with pytest.raises(AssemblyError, match="sum sums inputs of differing"):
             trace_shapes(nodes, (3, 4, 4))
 
+    WIDTH_KEEPING = {
+        "avg-pool": dict(kind="avg-pool", kernel=3, padding=1),
+        "skip": dict(kind="skip"),
+        "global-pool": dict(kind="global-pool"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WIDTH_KEEPING))
+    def test_width_keeping_node_with_another_width(self, kind):
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("p", inputs=(0,), channels_out=99, **self.WIDTH_KEEPING[kind]),
+        )
+        message = f"node p ({kind}) keeps its input's 3 channels but sets channels_out 99"
+        with pytest.raises(AssemblyError) as caught:
+            trace_channels(nodes, 3)
+        assert str(caught.value) == message
+        net = NetworkInstance(nodes, (None, None), seed=0, in_channels=3)
+        with pytest.raises(AssemblyError) as caught:
+            forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("kind", sorted(WIDTH_KEEPING))
+    def test_width_keeping_node_with_units(self, kind):
+        for width in (0, 3):  # units is checked whatever channels_out says
+            nodes = (
+                NodeSpec("input", "input"),
+                NodeSpec("p", inputs=(0,), channels_out=width, units=7, **self.WIDTH_KEEPING[kind]),
+            )
+            with pytest.raises(AssemblyError) as caught:
+                trace_channels(nodes, 3)
+            assert str(caught.value) == f"node p ({kind}) sets units 7; only dense nodes take units"
+
+    @pytest.mark.parametrize("kind", sorted(WIDTH_KEEPING))
+    def test_width_keeping_node_may_restate_its_width(self, kind):
+        for width in (0, 3):
+            nodes = (
+                NodeSpec("input", "input"),
+                NodeSpec("p", inputs=(0,), channels_out=width, **self.WIDTH_KEEPING[kind]),
+            )
+            assert trace_channels(nodes, 3) == [3, 3]
+
+    def test_assembled_edges_and_head_restate_their_width(self):
+        # assemble_descriptor sets channels_out=width on every edge and on head.pool.
+        cell = CellMatrix([[0, 3, 4, 1], [0, 0, 3, 4], [0, 0, 0, 2], [0, 0, 0, 0]])
+        cfg = AssemblyConfig(depth=2, stem_channels=4, reductions=(1,), head=True, head_units=5)
+        nodes = assemble_descriptor(cell, cfg)
+        assert {n.channels_out for n in nodes if n.kind in self.WIDTH_KEEPING} == {4, 8}
+        assert trace_shapes(nodes, (3, 6, 6))[-1] == (5, 1, 1)
+
     @pytest.mark.parametrize("dims", [(0, 4, 4), (3, 0, 4), (3, 4, -1)])
     def test_input_dims_below_one(self, dims):
         nodes = (NodeSpec("input", "input"), NodeSpec("s", "skip", (0,)))

@@ -725,6 +725,20 @@ class TestAblateDims:
         assert code == 0
         assert out.count("dims=") == 1
 
+    def test_one_row_truth_with_a_bell_leaves_the_correlations_blank(self, capsys, tmp_path):
+        truth = tmp_path / "truth.csv"
+        truth.write_text(f"arch_id,cell,accuracy\na0,{CELL.encode_line()},0.5\n")
+        out_csv = tmp_path / "ablate.csv"
+        code, out, err = run(
+            capsys, "ablate-dims", "--dims", "3x5x5", "--truth", str(truth), *BELL_FLAGS,
+            "--batch-size", "4", "--depth", "1", "--stem-channels", "4", "--out", str(out_csv),
+        )
+        assert (code, err) == (0, "")
+        assert out.count("dims=") == 1
+        header, row = out_csv.read_text().splitlines()
+        assert header.endswith(",rho_standard,rho_swap,rho_reg_swap")
+        assert row.endswith(",,,")
+
     @pytest.mark.parametrize("flag", [("--cells", "3"), ("--nodes", "9"), ("--cells", "100"), ("--nodes", "4")])
     def test_random_cell_flags_rejected_with_truth(self, capsys, truth_file, flag):
         code, out, err = run(

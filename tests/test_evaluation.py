@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from swapnas.evaluation import (
     InsufficientDataError,
     TableError,
     UndefinedCorrelationError,
+    atomic_write_text,
     ceil_to_significant,
     correlation_report,
     estimate_mu_sigma,
@@ -34,7 +36,7 @@ from swapnas.evaluation import (
     write_report_csv,
     write_score_records,
 )
-from swapnas.metric import ScoreRecord, regularised_swap_score
+from swapnas.metric import RegularisationParams, ScoreRecord, regularised_swap_score
 from swapnas.network import gaussian_batch
 from swapnas.scoring import score_cell
 
@@ -597,6 +599,19 @@ class TestInputDimAblation:
         if row.standard_std == 0.0:
             assert row.rho_standard is None
 
+    def test_one_cell_has_no_correlation(self):
+        # A single cell with an explicit bell scores fine; no correlation is defined.
+        (row,) = input_dim_ablation(
+            [CELL_A],
+            [(3, 4, 4)],
+            4,
+            assembly=AssemblyConfig(depth=1, stem_channels=4),
+            reg=RegularisationParams(1.0, 1.0),
+            accuracies=[0.5],
+        )
+        assert (row.rho_standard, row.rho_swap, row.rho_reg_swap) == (None, None, None)
+        assert row.swap_std == 0.0
+
     def test_auto_bell_uses_the_first_dims_sizes(self):
         # Sizes depend on the channel count, so the first row's one-channel sizes set the bell.
         cells = [random_cell(4, i) for i in range(5)]
@@ -624,6 +639,52 @@ class TestInputDimAblation:
         asm = AssemblyConfig(depth=1, stem_channels=4)
         with pytest.raises(ValueError, match=f"^{message}$"):
             input_dim_ablation(cells, dims, 2, assembly=asm, accuracies=accuracies)
+
+
+class TestAtomicWriteText:
+    TEXT = "SWAPCKPT 3\n{\"a\": [1.5, 2]}\r\nlast line without a newline"
+
+    def test_writes_the_exact_bytes_with_mode_0600(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, self.TEXT)
+        assert path.read_bytes() == self.TEXT.encode("ascii")
+        assert os.stat(path).st_mode & 0o777 == 0o600
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("x" * 10_000)
+        atomic_write_text(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(evaluation.os, "write", lambda fd, data: real_write(fd, data[:3]))
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, self.TEXT)
+        assert path.read_bytes() == self.TEXT.encode("ascii")
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_a_failing_step_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch, step):
+        def refuse(*args):
+            raise OSError(f"{step} refused")
+
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        monkeypatch.setattr(evaluation.os, step, refuse)
+        with pytest.raises(OSError, match=f"^{step} refused$"):
+            atomic_write_text(path, self.TEXT)
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_non_ascii_text_is_rejected_and_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "caf\u00e9\n")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestWriteReportCsv:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from swapnas import evolution
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, validate_cell
 from swapnas.evolution import (
+    CHECKPOINT_MAGIC,
     NoEdgeError,
     SaturationError,
     SearchConfig,
@@ -327,6 +328,42 @@ class TestCheckpointing:
             save_checkpoint(cut_path, state)
             assert resume_search(cut_path) == full
             assert cut_path.read_bytes() == full_path.read_bytes()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        cycles=st.integers(1, 6),
+        reg=st.sampled_from(["auto", None, RegularisationParams(mu=0.0015, sigma=0.000002)]),
+        crossover_prob=st.sampled_from([0.0, 0.5, 1.0]),
+        data=st.data(),
+    )
+    def test_every_checkpoint_is_sorted_json_and_resume_rewrites_the_same_bytes(
+        self, seed, cycles, reg, crossover_prob, data
+    ):
+        cut = data.draw(st.integers(0, cycles - 1), label="cut")
+        cfg = small_config(
+            population=4, cycles=cycles, mutation_times=2, crossover_prob=crossover_prob,
+            seed=seed, reg=reg, batch="gauss:4x3x5x5",
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path, cut_path = Path(tmp) / "full.ckpt", Path(tmp) / "cut.ckpt"
+            # Cycle 0's file, as run_search writes it before the first cycle.
+            state = _SearchState(cfg)
+            state.initialise()
+            save_checkpoint(path, state)
+            files = {0: path.read_bytes()}
+            run_search(cfg, checkpoint_path=path, on_cycle=lambda c, *_: files.update({c: path.read_bytes()}))
+            for cycle, raw in files.items():
+                magic, body, end = raw.decode("ascii").split("\n")
+                assert (magic, end) == (CHECKPOINT_MAGIC, "")
+                assert body == json.dumps(json.loads(body), sort_keys=True)
+                assert json.loads(body)["cycle"] == cycle
+
+            cut_path.write_bytes(files[cut])
+            resumed = {}
+            resume_search(cut_path, on_cycle=lambda c, *_: resumed.update({c: cut_path.read_bytes()}))
+            assert resumed == {c: files[c] for c in range(cut + 1, cycles + 1)}
 
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
