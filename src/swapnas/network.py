@@ -17,6 +17,8 @@ positive-scale sign invariance of plain convolution chains.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +90,11 @@ def write_tensor_file(path, batch: InputBatch) -> None:
         fh.write(batch.data.astype("<f4").tobytes())
 
 
+def _check_payload_size(size: int, expected: int) -> None:
+    if size != expected:
+        raise ValueError(f"tensor payload has {size} bytes, expected {expected}")
+
+
 def read_tensor_file(path) -> InputBatch:
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
@@ -98,10 +105,14 @@ def read_tensor_file(path) -> InputBatch:
             s, c, w, h = (int(p) for p in parts[2:])
         except ValueError:
             raise ValueError(f"malformed tensor header {header!r}") from None
+        expected = s * c * w * h * 4
+        # A regular file's size is checked before any of it is read, so a
+        # header asking for too much reads nothing; a pipe's only once read.
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            _check_payload_size(info.st_size - fh.tell(), expected)
         payload = fh.read()
-    expected = s * c * w * h * 4
-    if len(payload) != expected:
-        raise ValueError(f"tensor payload has {len(payload)} bytes, expected {expected}")
+    _check_payload_size(len(payload), expected)
     data = np.frombuffer(payload, dtype="<f4").reshape(s, c, w, h)
     return InputBatch(data.astype(np.float64))
 
@@ -289,12 +300,32 @@ def _standardise(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     a division by the count, a subtraction, a square, a sum and a division
     by the count), without the second mean and the second subtraction.  The
     property test in tests/test_network.py holds it to the plain formula.
+
+    When the channel axis is innermost in memory and there are at least two
+    channels, as on every conv and dense output, the map is a C-contiguous
+    (values, channels) matrix.  numpy's reduce then adds each channel row
+    by row in memory order, and ``np.einsum`` runs the same adds, each
+    product rounded before its add, in a tighter loop; so the two sums are
+    einsums, and the variance's needs no squared copy of the map.  With one
+    channel the reduced axis is contiguous and numpy sums it pairwise,
+    which einsum does not, so one channel and every other layout (a scored
+    skip on the NCHW batch) take ``np.add.reduce``.
     """
     n = math.prod(y.shape[a] for a in axes)
-    mean = np.add.reduce(y, axes, keepdims=True)
+    c = y.shape[1]
+    nhwc = y.transpose(0, 2, 3, 1)
+    einsum = axes == (0, 2, 3) and c >= 2 and nhwc.flags.c_contiguous
+    if einsum:
+        mean = np.einsum("ij->j", nhwc.reshape(-1, c)).reshape(c, 1, 1)
+    else:
+        mean = np.add.reduce(y, axes, keepdims=True)
     mean /= n
     out = y - mean
-    var = np.add.reduce(out * out, axes, keepdims=True)
+    if einsum:
+        centred = out.transpose(0, 2, 3, 1).reshape(-1, c)  # a view: ``out`` keeps ``y``'s layout
+        var = np.einsum("ij,ij->j", centred, centred).reshape(c, 1, 1)
+    else:
+        var = np.add.reduce(out * out, axes, keepdims=True)
     var /= n
     out /= np.sqrt(var + _STANDARDISE_EPS)
     return out

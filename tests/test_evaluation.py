@@ -172,9 +172,11 @@ class TestScoreRecordsIO:
         write_accuracy_table(path, table)
         assert load_accuracy_table(path) == table
         write_report_csv(path, [{"id": awkward, "rho": 0.5}])
-        assert list(csv.reader(path.open())) == [["id", "rho"], [awkward, "0.5"]]
+        with path.open() as fh:
+            assert list(csv.reader(fh)) == [["id", "rho"], [awkward, "0.5"]]
         write_plot_data(path, {awkward: [(1, 2.5)]})
-        assert list(csv.reader(path.open())) == [["series", "x", "y"], [awkward, "1.0", "2.5"]]
+        with path.open() as fh:
+            assert list(csv.reader(fh)) == [["series", "x", "y"], [awkward, "1.0", "2.5"]]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"

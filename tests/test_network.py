@@ -1,6 +1,8 @@
 """Tests for network building, the value count and the capturing forward pass."""
 
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -123,6 +125,41 @@ class TestInputBatch:
         path.write_bytes(b"SWAPTENSOR v1 2 1 2 2\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="payload"):
             read_tensor_file(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"SWAPTENSOR v1 2 1 2 2", "tensor payload has 40 bytes, expected 32"),
+            (b"SWAPTENSOR v1 100000 1000 1000 1000", "tensor payload has 40 bytes, expected 400000000000000"),
+        ],
+        ids=["header-asks-less", "header-asks-too-much"],
+    )
+    def test_tensor_file_payload_checked_against_header(self, tmp_path, header, message):
+        path = tmp_path / "odd.tensor"
+        path.write_bytes(header + b"\n" + b"\x00" * 40)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_tensor_file(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    @pytest.mark.parametrize("extra", [0, 4], ids=["exact", "long"])
+    def test_tensor_file_from_a_pipe(self, tmp_path, extra):
+        # A pipe has no size until it is read, so its payload is checked after.
+        batch = gaussian_batch(2, (1, 2, 2), seed=3)
+        plain = tmp_path / "batch.tensor"
+        write_tensor_file(plain, batch)
+        fifo = tmp_path / "batch.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(plain.read_bytes() + b"\x00" * extra,), daemon=True)
+        writer.start()
+        try:
+            if extra:
+                with pytest.raises(ValueError, match="^tensor payload has 36 bytes, expected 32$"):
+                    read_tensor_file(fifo)
+            else:
+                assert np.array_equal(read_tensor_file(fifo).data, read_tensor_file(plain).data)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestBuildNetwork:
@@ -489,6 +526,71 @@ class TestStandardise:
         got = _standardise(y, (0, 2, 3))
         assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def wide_standardise_inputs(draw):
+    """Maps of 2 to 70 channels with up to 4,608 values per channel.
+
+    Maps come NHWC-strided (as a conv returns them), dense-shaped
+    (S, units, 1, 1) with up to 4,096 samples, or C-contiguous, the layout
+    that takes ``np.add.reduce``.  Channels have their own offsets, a few
+    are constant and scales run from 1e-6 to 1e6.
+    """
+    c = draw(st.integers(2, 70))
+    layout = draw(st.sampled_from(["nhwc", "dense", "nchw"]))
+    if layout == "dense":
+        s, w, h = draw(st.integers(1, 4096)), 1, 1
+    else:
+        s, w, h = draw(st.integers(1, 32)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = (rng.standard_normal((s, w, h, c)) + 4 * rng.standard_normal(c)).transpose(0, 3, 1, 2)
+    if layout == "nchw":
+        y = np.ascontiguousarray(y)
+    for channel in draw(st.sets(st.integers(0, c - 1), max_size=3)):
+        y[:, channel] = rng.standard_normal()
+    return y * 10.0 ** draw(st.integers(-6, 6))
+
+
+class TestStandardiseAtScale:
+    @settings(max_examples=150, deadline=None)
+    @given(wide_standardise_inputs())
+    def test_matches_the_mean_var_formula_bytewise(self, y):
+        # The einsum sums give numpy's bytes only while both add each
+        # channel row by row; many rows and wide channel rows check that.
+        want = mean_var_standardise(y)
+        got = _standardise(y, (0, 2, 3))
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    def test_conv_and_dense_outputs_take_the_einsum_sums(self, monkeypatch):
+        # The sums are picked by layout, so a conv or dense step that stopped
+        # returning channels innermost would keep every byte and only run
+        # slower; this pins which scored layers take einsum.
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("skip", "skip", (0,), scored=True),  # the NCHW batch: add.reduce
+            NodeSpec("conv1", "conv", (0,), channels_out=4, kernel=1, scored=True),
+            NodeSpec("conv3", "conv", (2,), channels_out=5, kernel=3, stride=2, padding=1, scored=True),
+            NodeSpec("narrow", "conv", (3,), channels_out=1, kernel=1, scored=True),  # C = 1: add.reduce
+            NodeSpec("pool", "global-pool", (3,)),
+            NodeSpec("dense", "dense", (5,), units=6, scored=True),
+        )
+        net = network_from_nodes(nodes, seed=0, in_channels=3)
+        sums = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands):
+            sums.append((subscripts, operands[0].shape))
+            return einsum(subscripts, *operands)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        forward_capture(net, gaussian_batch(3, (3, 5, 5), seed=1))
+        assert sums == [
+            ("ij->j", (75, 4)), ("ij,ij->j", (75, 4)),  # 1x1 conv, 3 samples of 5x5
+            ("ij->j", (27, 5)), ("ij,ij->j", (27, 5)),  # 3x3 conv, 3 samples of 3x3
+            ("ij->j", (3, 6)), ("ij,ij->j", (3, 6)),  # dense, 3 samples
+        ]
 
 
 @st.composite
