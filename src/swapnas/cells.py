@@ -352,17 +352,27 @@ def assemble_descriptor(
 def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
     """Channel count of each node's output, independent of spatial dims.
 
-    Rejects any pool but ``EDGE_OPS``'s, and an avg-pool, skip or
-    global-pool node that sets ``units`` or a ``channels_out`` other than 0
-    or its input's width.
+    Rejects an input node that is scored or has inputs, an input index
+    outside [0, own index), any pool but ``EDGE_OPS``'s, and an avg-pool,
+    skip or global-pool node that sets ``units`` or a ``channels_out``
+    other than 0 or its input's width.
     """
     channels: list[int] = []
-    for node in nodes:
+    for k, node in enumerate(nodes):
         if node.kind == "input":
+            if node.scored:
+                raise AssemblyError(
+                    f"input node {node.name} cannot be scored; a scored skip on it puts a ReLU on the batch"
+                )
+            if node.inputs:
+                raise AssemblyError(f"input node {node.name} takes no inputs, got {node.inputs}")
             channels.append(in_channels)
             continue
         if not node.inputs:
             raise AssemblyError(f"node {node.name} has no inputs")
+        for i in node.inputs:
+            if not 0 <= i < k:
+                raise AssemblyError(f"node {node.name} (node {k}) takes input {i}, outside [0, {k})")
         ins = {channels[i] for i in node.inputs}
         if len(ins) != 1:
             raise AssemblyError(f"node {node.name} sums inputs of differing widths {sorted(ins)}")

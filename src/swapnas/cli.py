@@ -252,7 +252,10 @@ def _cmd_score(args) -> int:
     cell = read_cell_file(args.cell)
     batch = make_batch(args.batch, derive_seed(args.seed, BATCH_SALT))
     seed = derive_seed(args.seed, cell.stable_hash())
-    record, capture = score_and_capture(cell, _assembly_from_args(args), batch, seed, _reg_from_args(args))
+    # Flag errors are raised before the cell is scored.
+    assembly, reg = _assembly_from_args(args), _reg_from_args(args)
+    record, capture = score_and_capture(cell, assembly, batch, seed)
+    record = record.regularised(reg)
     print(f"swap_score={record.swap}")
     print(f"reg_swap_score={_fmt(record.reg_swap)}")
     print(f"theta_mb={_fmt(record.size_mb)}")

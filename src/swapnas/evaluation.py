@@ -194,16 +194,11 @@ def read_score_records(path) -> list[ScoreRecord]:
 def rank_average(values) -> np.ndarray:
     """1-based ranks with ties replaced by the mean rank of the tied block."""
     a = np.asarray(values, dtype=np.float64).ravel()
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    # A tie block at sorted positions i..j ends at rank j + 1 and holds
+    # j - i + 1 values, so its mean rank (i + j) / 2 + 1 is this, exactly.
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[inverse]
 
 
 def spearman_rho(x, y) -> float:

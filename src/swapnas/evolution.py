@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +159,14 @@ class Individual:
     seed: int
     birth: int
 
+    @cached_property
+    def checkpoint_json(self) -> str:
+        """This member's checkpoint JSON object, encoded on first use.
+
+        ``vars`` holds only the dataclass fields until the cache stores this value.
+        """
+        return _encode({**vars(self), "cell": self.cell.encode_line()})
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -189,21 +198,14 @@ class _SearchState:
         self.config_json = json.dumps(asdict(cfg), sort_keys=True)
         # Keyed on the cell itself, not its 64-bit digest, so a hit is exact.
         self.scored: dict[CellMatrix, ScoreRecord] = {}
-        # Checkpoint pieces, encoded the first time they are written: each
-        # member's JSON object keyed on the member's identity (the entry holds
-        # the member, so the id is not reused while cached), and each trace
-        # entry's JSON in order.  Neither is checkpointed; a resumed run
-        # rebuilds both.
-        self.member_json: dict[int, tuple[Individual, str]] = {}
+        # Each trace entry's checkpoint JSON, in order, encoded the first time
+        # it is written.  It is not checkpointed; a resumed run rebuilds it.
         self.trace_json: list[str] = []
 
     def initialise(self) -> None:
         cells = [random_cell(self.cfg.nodes, self.rng) for _ in range(self.cfg.population)]
         records = [self.score(cell) for cell in cells]
-        if self.cfg.reg == "auto":
-            self.reg = estimate_mu_sigma([r.size_mb for r in records])
-        elif isinstance(self.cfg.reg, RegularisationParams):
-            self.reg = self.cfg.reg
+        self.reg = estimate_mu_sigma([r.size_mb for r in records]) if self.cfg.reg == "auto" else self.cfg.reg
         self.population = [self.individual(c, r) for c, r in zip(cells, records)]
         self.trace.append(self.best().score)
 
@@ -300,18 +302,13 @@ def save_checkpoint(path, state: _SearchState) -> None:
     encoded once per run, each member's and each trace entry's once per
     run, and only the counters, the bell and the generator state per call.
     """
-    cached = state.member_json
-    state.member_json = {
-        id(ind): cached.get(id(ind)) or (ind, _encode({**vars(ind), "cell": ind.cell.encode_line()}))
-        for ind in state.population
-    }
     state.trace_json += [_encode(score) for score in state.trace[len(state.trace_json):]]
     pieces = {
         "config": state.config_json,
         "cycle": _encode(state.cycle),
         "evaluations": _encode(state.evaluations),
         "next_birth": _encode(state.next_birth),
-        "population": "[" + ", ".join(state.member_json[id(ind)][1] for ind in state.population) + "]",
+        "population": "[" + ", ".join(ind.checkpoint_json for ind in state.population) + "]",
         "reg": _encode(None if state.reg is None else vars(state.reg)),
         "rng_state": _encode(state.rng.bit_generator.state),
         "trace": "[" + ", ".join(state.trace_json) + "]",

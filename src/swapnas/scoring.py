@@ -12,12 +12,7 @@ from __future__ import annotations
 import re
 
 from .cells import AssemblyConfig, CellMatrix, graph_macs, graph_parameters, params_to_megabytes
-from .metric import (
-    ActivationCapture,
-    RegularisationParams,
-    ScoreRecord,
-    swap_score,
-)
+from .metric import ActivationCapture, ScoreRecord, swap_score
 from .network import InputBatch, build_network, forward_capture, gaussian_batch, read_tensor_file
 
 _GAUSS_RE = re.compile(r"^gauss:(\d+)x(\d+)x(\d+)x(\d+)$")
@@ -60,19 +55,19 @@ def score_and_capture(
     assembly: AssemblyConfig,
     batch: InputBatch,
     weight_seed: int,
-    reg: RegularisationParams | None = None,
 ) -> tuple[ScoreRecord, ActivationCapture]:
     """Score one architecture on one batch and keep the activation capture.
 
     The cell is assembled once; size and FLOP counts come from the same
-    node graph the forward pass runs.  ``reg_swap`` is the raw score under
-    the bell ``reg`` (see :meth:`ScoreRecord.regularised`).  The record's
-    ``arch_id`` and ``batch`` labels are left empty for the caller to set.
+    node graph the forward pass runs.  The record is raw: ``reg_swap``
+    equals ``swap``, and callers apply a size bell with
+    :meth:`ScoreRecord.regularised`.  The record's ``arch_id`` and
+    ``batch`` labels are left empty for the caller to set.
     """
     net = build_network(cell, assembly, weight_seed, in_channels=batch.channels)
     capture = forward_capture(net, batch, standardise=assembly.standardise)
     raw = swap_score(capture)
-    record = ScoreRecord(
+    return ScoreRecord(
         arch_id="",
         swap=raw,
         reg_swap=float(raw),
@@ -80,8 +75,7 @@ def score_and_capture(
         flops=graph_macs(net.nodes, batch.dims),
         seed=weight_seed,
         batch="",
-    )
-    return record.regularised(reg), capture
+    ), capture
 
 
 def score_cell(
@@ -89,7 +83,6 @@ def score_cell(
     assembly: AssemblyConfig,
     batch: InputBatch,
     weight_seed: int,
-    reg: RegularisationParams | None = None,
 ) -> ScoreRecord:
     """Score one architecture on one batch (see :func:`score_and_capture`)."""
-    return score_and_capture(cell, assembly, batch, weight_seed, reg)[0]
+    return score_and_capture(cell, assembly, batch, weight_seed)[0]

@@ -242,7 +242,7 @@ def test_criterion_06_evolution_correctness():
         from swapnas.scoring import score_cell
 
         oracle_best = max(
-            score_cell(c, assembly, batch, derive_seed(seed, c.stable_hash()), params).reg_swap
+            score_cell(c, assembly, batch, derive_seed(seed, c.stable_hash())).regularised(params).reg_swap
             for c in cells
         )
         result = run_search(cfg)

@@ -28,7 +28,7 @@ from swapnas.cells import (
     validate_cell,
     write_cell_file,
 )
-from swapnas.network import NetworkInstance, forward_capture, gaussian_batch
+from swapnas.network import NetworkInstance, forward_capture, gaussian_batch, network_from_nodes
 
 # Example 4-node cell using every op kind: conv3, skip, conv1, pool3, conv3.
 EXAMPLE_CELL = CellMatrix(
@@ -372,6 +372,41 @@ class TestGraphWalkerErrors:
             trace_channels(nodes, 3)
         net = NetworkInstance(nodes, (None, np.ones((4, 3, 1, 1))), seed=0, in_channels=3)
         with pytest.raises(AssemblyError, match="node x has no inputs"):
+            forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
+
+    @pytest.mark.parametrize("source", [1, 2, -1])
+    def test_input_index_outside_earlier_nodes(self, source):
+        # The node itself, a later node and a negative index.
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("a", "conv", (source,), channels_out=3, kernel=1),
+            NodeSpec("b", "conv", (0,), channels_out=3, kernel=1, scored=True),
+        )
+        message = f"node a (node 1) takes input {source}, outside [0, 1)"
+        with pytest.raises(AssemblyError) as caught:
+            network_from_nodes(nodes, seed=0, in_channels=3)
+        assert str(caught.value) == message
+        net = NetworkInstance(nodes, (None, np.ones((3, 3, 1, 1)), np.ones((3, 3, 1, 1))), seed=0, in_channels=3)
+        with pytest.raises(AssemblyError) as caught:
+            forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(scored=True), "input node input cannot be scored; a scored skip on it puts a ReLU on the batch"),
+            (dict(inputs=(0,)), r"input node input takes no inputs, got \(0,\)"),
+        ],
+    )
+    def test_input_node_scored_or_with_inputs(self, fields, message):
+        nodes = (
+            NodeSpec("input", "input", **fields),
+            NodeSpec("a", "conv", (0,), channels_out=3, kernel=1, scored=True),
+        )
+        with pytest.raises(AssemblyError, match=message):
+            network_from_nodes(nodes, seed=0, in_channels=3)
+        net = NetworkInstance(nodes, (None, np.ones((3, 3, 1, 1))), seed=0, in_channels=3)
+        with pytest.raises(AssemblyError, match=message):
             forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
 
     def test_inputs_of_differing_widths(self):

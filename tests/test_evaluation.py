@@ -305,6 +305,22 @@ class TestSpearman:
     def test_rank_average_blocks(self):
         assert list(rank_average([10, 20, 20, 30])) == [1.0, 2.5, 2.5, 4.0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-2.0, -0.0, 0.0, 1.0, 1.5]) | st.floats(allow_nan=False),
+            max_size=60,
+        )
+    )
+    def test_rank_average_matches_scipy_bytewise(self, values):
+        # Tie-heavy draws, -0.0 tied with 0.0, and the empty input.
+        from scipy import stats
+
+        ours = rank_average(values)
+        ref = stats.rankdata(np.asarray(values, dtype=np.float64), method="average")
+        assert ours.dtype == ref.dtype == np.float64
+        assert ours.tobytes() == ref.tobytes()
+
     def test_matches_scipy_on_random_data(self):
         from scipy import stats
 

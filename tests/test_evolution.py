@@ -209,8 +209,7 @@ class TestSearchLoop:
             cfg.assembly,
             batch_for_config(cfg),
             derive_seed(cfg.seed, best.cell.stable_hash()),
-            result.reg,
-        )
+        ).regularised(result.reg)
         assert again.reg_swap == best.score
         assert again.swap == best.swap
         assert again.seed == best.seed

@@ -96,7 +96,7 @@ class TestScoreCell:
     def test_record_fields_consistent(self):
         batch = gaussian_batch(8, (3, 6, 6), seed=2)
         params = RegularisationParams(mu=0.5, sigma=0.5)
-        record = score_cell(CELL, ASSEMBLY, batch, 9, params)
+        record = score_cell(CELL, ASSEMBLY, batch, 9).regularised(params)
         # Labels are the caller's to set; the scorer leaves them empty.
         assert record.arch_id == ""
         assert record.batch == ""
@@ -107,7 +107,7 @@ class TestScoreCell:
 
     def test_no_regularisation_copies_raw_score(self):
         batch = gaussian_batch(8, (3, 6, 6), seed=2)
-        record = score_cell(CELL, ASSEMBLY, batch, 9, None)
+        record = score_cell(CELL, ASSEMBLY, batch, 9)
         assert record.reg_swap == float(record.swap)
 
     def test_one_assembly_gives_the_wrapper_sizes_and_capture(self, assemble_calls):
