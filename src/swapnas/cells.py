@@ -349,15 +349,46 @@ def assemble_descriptor(
     return tuple(nodes)
 
 
-def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
-    """Channel count of each node's output, independent of spatial dims.
+@dataclass(frozen=True)
+class GraphTrace:
+    """One walk's view of a node graph (see :func:`trace_graph`).
+
+    Per node: its output's (channels, width, height), its weight shape (()
+    if it has none) and how many node inputs read it.  ``parameters`` is the
+    weight count (initialisation zeroes the biases, so they are left out);
+    ``macs`` sums each weighted layer's weight count times its output area.
+    """
+
+    shapes: tuple[tuple[int, int, int], ...]
+    weight_shapes: tuple[tuple[int, ...], ...]
+    consumers: tuple[int, ...]
+    parameters: int
+    macs: int
+
+
+def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> GraphTrace:
+    """Check every node rule and derive every shape and cost, in one walk in node order.
 
     Rejects an input node that is scored or has inputs, an input index
-    outside [0, own index), any pool but ``EDGE_OPS``'s, and an avg-pool,
-    skip or global-pool node that sets ``units`` or a ``channels_out``
-    other than 0 or its input's width.
+    outside [0, own index), inputs of differing widths or sizes, any pool
+    but ``EDGE_OPS``'s, an avg-pool, skip or global-pool node that sets
+    ``units`` or a ``channels_out`` other than 0 or its input's width, a
+    kernel larger than the padded map and a dense layer on a map above 1x1.
+    Windowed layers use output size floor((d + 2*padding - kernel)/stride) + 1
+    per spatial axis.  ``input_dims`` may be (C,), for a network that has
+    not met a batch: then only the rules that need no map size run, and
+    widths, heights and ``macs`` read 0.
     """
-    channels: list[int] = []
+    dims = tuple(int(d) for d in input_dims)
+    if len(dims) not in (1, 3):
+        raise ShapeError(f"input dims must be (C,) or (C, W, H), got {input_dims}")
+    if min(dims) < 1:
+        raise ShapeError(f"input dims must be positive, got {input_dims}")
+    sized = len(dims) == 3
+    shapes: list[tuple[int, int, int]] = []
+    weight_shapes: list[tuple[int, ...]] = []
+    consumers = [0] * len(nodes)
+    parameters = macs = 0
     for k, node in enumerate(nodes):
         if node.kind == "input":
             if node.scored:
@@ -366,14 +397,16 @@ def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
                 )
             if node.inputs:
                 raise AssemblyError(f"input node {node.name} takes no inputs, got {node.inputs}")
-            channels.append(in_channels)
+            shapes.append(dims if sized else (dims[0], 0, 0))
+            weight_shapes.append(())
             continue
         if not node.inputs:
             raise AssemblyError(f"node {node.name} has no inputs")
         for i in node.inputs:
             if not 0 <= i < k:
                 raise AssemblyError(f"node {node.name} (node {k}) takes input {i}, outside [0, {k})")
-        ins = {channels[i] for i in node.inputs}
+            consumers[i] += 1
+        ins = {shapes[i][0] for i in node.inputs}
         if len(ins) != 1:
             raise AssemblyError(f"node {node.name} sums inputs of differing widths {sorted(ins)}")
         c = ins.pop()
@@ -384,7 +417,7 @@ def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
                 f"the only pool is {_POOL.name} (kernel {_POOL.kernel}, stride {_POOL.stride}, padding {_POOL.padding})"
             )
         if node.kind == "conv":
-            channels.append(node.channels_out)
+            c_out = node.channels_out
         elif node.kind in ("avg-pool", "skip", "global-pool"):
             # These keep their input's width; 0 leaves channels_out unset.
             if node.channels_out not in (0, c):
@@ -396,90 +429,59 @@ def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
                 raise AssemblyError(
                     f"node {node.name} ({node.kind}) sets units {node.units}; only dense nodes take units"
                 )
-            channels.append(c)
+            c_out = c
         elif node.kind == "dense":
-            channels.append(node.units)
+            c_out = node.units
         else:
             raise AssemblyError(f"unknown node kind {node.kind!r} at {node.name}")
-    return channels
+        _, w, h = shapes[node.inputs[0]]
+        if sized:
+            sizes = {shapes[i][1:] for i in node.inputs}
+            if len(sizes) != 1:
+                raise AssemblyError(f"node {node.name} sums inputs of differing sizes {sorted(sizes)}")
+            if node.kind in ("conv", "avg-pool"):
+                kernel, t, p = window
+                wp, hp = w + 2 * p, h + 2 * p
+                if kernel > wp or kernel > hp:
+                    raise ShapeError(f"kernel {kernel} exceeds the padded {wp}x{hp} feature map at {node.name}")
+                w, h = (wp - kernel) // t + 1, (hp - kernel) // t + 1
+            elif node.kind != "skip":  # global-pool or dense
+                if node.kind == "dense" and (w, h) != (1, 1):
+                    raise ShapeError(f"dense layer {node.name} expects 1x1 spatial input, got {w}x{h}")
+                w = h = 1
+        shapes.append((c_out, w, h))
+        shape = weight_shape(node, c)
+        weight_shapes.append(shape)
+        n_weights = math.prod(shape) if shape else 0
+        parameters += n_weights
+        macs += n_weights * w * h
+    return GraphTrace(tuple(shapes), tuple(weight_shapes), tuple(consumers), parameters, macs)
+
+
+def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
+    """Channel count of each node's output, with the size-free rules of :func:`trace_graph`."""
+    return [c for c, _, _ in trace_graph(nodes, (in_channels,)).shapes]
 
 
 def trace_shapes(
     nodes: tuple[NodeSpec, ...], input_dims: tuple[int, int, int]
 ) -> list[tuple[int, int, int]]:
-    """Propagate (channels, width, height) through the graph.
-
-    Channels come from :func:`trace_channels`.  Windowed layers use output
-    size floor((d + 2*padding - kernel)/stride) + 1 per spatial axis and
-    reject kernels larger than the padded map.
-    """
-    c0, w0, h0 = (int(d) for d in input_dims)
-    if min(c0, w0, h0) < 1:
-        raise ShapeError(f"input dims must be positive, got {input_dims}")
-    channels = trace_channels(nodes, c0)
-    sizes: list[tuple[int, int]] = []
-    for node in nodes:
-        if node.kind == "input":
-            sizes.append((w0, h0))
-            continue
-        ins = {sizes[i] for i in node.inputs}
-        if len(ins) != 1:
-            raise AssemblyError(f"node {node.name} sums inputs of differing sizes {sorted(ins)}")
-        w, h = ins.pop()
-        if node.kind in ("conv", "avg-pool"):
-            k, t, p = node.kernel, node.stride, node.padding
-            wp, hp = w + 2 * p, h + 2 * p
-            if k > wp or k > hp:
-                raise ShapeError(
-                    f"kernel {k} exceeds the padded {wp}x{hp} feature map at {node.name}"
-                )
-            sizes.append(((wp - k) // t + 1, (hp - k) // t + 1))
-        elif node.kind == "skip":
-            sizes.append((w, h))
-        else:  # global-pool or dense
-            if node.kind == "dense" and (w, h) != (1, 1):
-                raise ShapeError(f"dense layer {node.name} expects 1x1 spatial input, got {w}x{h}")
-            sizes.append((1, 1))
-    return [(c, w, h) for c, (w, h) in zip(channels, sizes)]
+    """(channels, width, height) of each node's output (see :func:`trace_graph`)."""
+    return list(trace_graph(nodes, input_dims).shapes)
 
 
-def weight_shape(node: NodeSpec, channels: list[int]) -> tuple[int, ...]:
-    """Shape of a node's weight tensor, or () if it has none.
-
-    ``channels`` holds every node's output width (see :func:`trace_channels`);
-    the node reads the width of its first input.
-    """
+def weight_shape(node: NodeSpec, in_channels: int) -> tuple[int, ...]:
+    """Shape of a node's weight tensor on an input of ``in_channels``, or () if it has none."""
     if node.kind == "conv":
-        return (node.channels_out, channels[node.inputs[0]], node.kernel, node.kernel)
+        return (node.channels_out, in_channels, node.kernel, node.kernel)
     if node.kind == "dense":
-        return (node.units, channels[node.inputs[0]])
+        return (node.units, in_channels)
     return ()
 
 
-def _weight_count(node: NodeSpec, channels: list[int]) -> int:
-    shape = weight_shape(node, channels)
-    return math.prod(shape) if shape else 0
-
-
-def graph_parameters(nodes: tuple[NodeSpec, ...], in_channels: int) -> int:
-    """Total weight count of an assembled graph.
-
-    Biases are excluded because initialisation zeroes them.
-    """
-    channels = trace_channels(nodes, in_channels)
-    return sum(_weight_count(node, channels) for node in nodes)
-
-
-def graph_macs(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, int, int]) -> int:
-    """Multiply-accumulate count: per weighted layer, params times output area."""
-    shapes = trace_shapes(nodes, input_dims)
-    channels = [c for c, _, _ in shapes]
-    return sum(_weight_count(node, channels) * w * h for node, (_, w, h) in zip(nodes, shapes))
-
-
 def count_parameters(cell: CellMatrix, cfg: AssemblyConfig, in_channels: int = 3) -> int:
-    """Total weight count of the assembled network (see :func:`graph_parameters`)."""
-    return graph_parameters(assemble_descriptor(cell, cfg, in_channels), in_channels)
+    """Total weight count of the assembled network (see :class:`GraphTrace`)."""
+    return trace_graph(assemble_descriptor(cell, cfg, in_channels), (in_channels,)).parameters
 
 
 def count_flops(
@@ -487,8 +489,8 @@ def count_flops(
     cfg: AssemblyConfig,
     input_dims: tuple[int, int, int],
 ) -> int:
-    """Multiply-accumulate count of the assembled network (see :func:`graph_macs`)."""
-    return graph_macs(assemble_descriptor(cell, cfg, input_dims[0]), input_dims)
+    """Multiply-accumulate count of the assembled network (see :class:`GraphTrace`)."""
+    return trace_graph(assemble_descriptor(cell, cfg, input_dims[0]), input_dims).macs
 
 
 def params_to_megabytes(param_count: int) -> float:

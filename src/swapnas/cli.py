@@ -437,10 +437,12 @@ def _parse_dims(text: str) -> list[tuple[int, int, int]]:
         part = part.strip()
         if not part:
             continue
-        bits = part.split("x")
-        if len(bits) != 3:
+        try:
+            dims.append(tuple(int(b) for b in part.split("x")))
+        except ValueError:
+            raise UsageError(f"dims {part!r} must be CxWxH with integer C, W and H") from None
+        if len(dims[-1]) != 3:
             raise UsageError(f"dims {part!r} must be CxWxH")
-        dims.append(tuple(int(b) for b in bits))
         if min(dims[-1]) < 1:
             raise UsageError(f"dims {part!r} must be at least 1 on every axis")
     if not dims:
@@ -457,6 +459,8 @@ def _cmd_ablate_dims(args) -> int:
         cells = [e.cell for e in table.entries]
         accuracies = [e.accuracy for e in table.entries]
     else:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be non-negative when drawing random cells, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         cells = [random_cell(args.nodes, rng) for _ in range(args.cells)]
     rows = input_dim_ablation(

@@ -140,6 +140,8 @@ class SearchConfig:
             raise ValueError('reg must be RegularisationParams, "auto" or None')
         if self.nodes < 2:
             raise ValueError("cells need at least two nodes")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def tournament_size(self) -> int:

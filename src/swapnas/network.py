@@ -2,7 +2,7 @@
 
 Networks are node graphs (see :mod:`swapnas.cells`) with deterministic
 random weights: zero-mean Gaussians scaled by fan-in, in the shapes
-:func:`swapnas.cells.weight_shape` gives, and zero biases.  In the forward
+:func:`swapnas.cells.trace_graph` gives, and zero biases.  In the forward
 pass each node only computes its output; a dense layer's output is an
 (S, units, 1, 1) map, so every node that feeds a ReLU (``scored``) then
 takes the same step: an optional per-channel batch standardisation, the
@@ -30,9 +30,7 @@ from .cells import (
     NodeSpec,
     ShapeError,
     assemble_descriptor,
-    trace_channels,
-    trace_shapes,
-    weight_shape,
+    trace_graph,
 )
 from .metric import ActivationCapture, pack_bit_rows
 
@@ -105,6 +103,8 @@ def read_tensor_file(path) -> InputBatch:
             s, c, w, h = (int(p) for p in parts[2:])
         except ValueError:
             raise ValueError(f"malformed tensor header {header!r}") from None
+        if min(s, c, w, h) < 1:
+            raise ValueError(f"tensor header dims must be positive: {header!r}")
         expected = s * c * w * h * 4
         # A regular file's size is checked before any of it is read, so a
         # header asking for too much reads nothing; a pipe's only once read.
@@ -150,11 +150,9 @@ def network_from_nodes(
     a generator seeded with ``seed``, so identical (graph, seed) pairs give
     bit-identical weights.  Biases are zero and therefore not stored.
     """
-    channels = trace_channels(nodes, in_channels)
     rng = np.random.default_rng(seed)
     weights: list[np.ndarray | None] = []
-    for node in nodes:
-        shape = weight_shape(node, channels)
+    for shape in trace_graph(nodes, (in_channels,)).weight_shapes:
         fan_in = math.prod(shape[1:])
         weights.append(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in) if shape else None)
     return NetworkInstance(tuple(nodes), tuple(weights), seed, in_channels)
@@ -349,13 +347,9 @@ def forward_capture(
         raise ShapeError(
             f"batch has {batch.channels} channels but the network stem expects {net.in_channels}"
         )
-    trace_shapes(net.nodes, batch.dims)  # reject bad geometry before any compute
+    consumers = list(trace_graph(net.nodes, batch.dims).consumers)  # rejects bad geometry before any compute
     n_samples = batch.n_samples
     blocks = [np.zeros((0, (n_samples + 7) // 8), dtype=np.uint8)]
-    consumers = [0] * len(net.nodes)
-    for node in net.nodes:
-        for i in node.inputs:
-            consumers[i] += 1
     values: dict[int, np.ndarray] = {}
 
     for idx, node in enumerate(net.nodes):
@@ -373,7 +367,7 @@ def forward_capture(
                 out = x
             elif node.kind == "global-pool":
                 out = x.mean(axis=(2, 3), keepdims=True)
-            else:  # dense; trace_shapes has rejected every other kind
+            else:  # dense; trace_graph has rejected every other kind
                 out = (x.reshape(n_samples, -1) @ net.weights[idx].T).reshape(n_samples, -1, 1, 1)
             if node.scored:
                 if standardise:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .cells import AssemblyConfig, CellMatrix, graph_macs, graph_parameters, params_to_megabytes
+from .cells import AssemblyConfig, CellMatrix, params_to_megabytes, trace_graph
 from .metric import ActivationCapture, ScoreRecord, swap_score
 from .network import InputBatch, build_network, forward_capture, gaussian_batch, read_tensor_file
 
@@ -67,12 +67,13 @@ def score_and_capture(
     net = build_network(cell, assembly, weight_seed, in_channels=batch.channels)
     capture = forward_capture(net, batch, standardise=assembly.standardise)
     raw = swap_score(capture)
+    trace = trace_graph(net.nodes, batch.dims)
     return ScoreRecord(
         arch_id="",
         swap=raw,
         reg_swap=float(raw),
-        size_mb=params_to_megabytes(graph_parameters(net.nodes, batch.channels)),
-        flops=graph_macs(net.nodes, batch.dims),
+        size_mb=params_to_megabytes(trace.parameters),
+        flops=trace.macs,
         seed=weight_seed,
         batch="",
     ), capture

@@ -24,6 +24,7 @@ from swapnas.cells import (
     random_cell,
     read_cell_file,
     trace_channels,
+    trace_graph,
     trace_shapes,
     validate_cell,
     write_cell_file,
@@ -486,6 +487,41 @@ class TestGraphWalkerErrors:
         nodes = (NodeSpec("input", "input"), NodeSpec("s", "skip", (0,)))
         with pytest.raises(ShapeError, match="input dims must be positive"):
             trace_shapes(nodes, dims)
+
+
+class TestGraphTrace:
+    def test_faults_are_reported_in_node_order(self):
+        # Node a's kernel overruns the 2x2 map before sum meets two widths;
+        # without map sizes only the width fault remains.
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("a", "conv", (0,), channels_out=4, kernel=3, scored=True),
+            NodeSpec("b", "conv", (0,), channels_out=5, kernel=1, scored=True),
+            NodeSpec("sum", "skip", (1, 2)),
+        )
+        with pytest.raises(ShapeError) as caught:
+            trace_shapes(nodes, (3, 2, 2))
+        assert str(caught.value) == "kernel 3 exceeds the padded 2x2 feature map at a"
+        with pytest.raises(AssemblyError) as caught:
+            trace_channels(nodes, 3)
+        assert str(caught.value) == "node sum sums inputs of differing widths [4, 5]"
+
+    def test_channels_only_form_reads_no_map_size(self):
+        cfg = AssemblyConfig(depth=2, stem_channels=4, reductions=(1,), head=True, head_units=5)
+        nodes = assemble_descriptor(EXAMPLE_CELL, cfg)
+        full, bare = trace_graph(nodes, (3, 9, 9)), trace_graph(nodes, (3,))
+        assert [c for c, _, _ in bare.shapes] == [c for c, _, _ in full.shapes]
+        assert {(w, h) for _, w, h in bare.shapes} == {(0, 0)}
+        assert (bare.weight_shapes, bare.consumers) == (full.weight_shapes, full.consumers)
+        assert bare.parameters == full.parameters == count_parameters(EXAMPLE_CELL, cfg)
+        assert bare.macs == 0 and full.macs == count_flops(EXAMPLE_CELL, cfg, (3, 9, 9))
+
+    @pytest.mark.parametrize("dims", [(), (3, 4), (3, 4, 4, 1)])
+    def test_input_dims_of_another_length(self, dims):
+        nodes = (NodeSpec("input", "input"), NodeSpec("s", "skip", (0,)))
+        with pytest.raises(ShapeError) as caught:
+            trace_graph(nodes, dims)
+        assert str(caught.value) == f"input dims must be (C,) or (C, W, H), got {dims}"
 
 
 class TestSizeAccounting:

@@ -138,6 +138,19 @@ class TestScore:
         assert code == 1
         assert "error" in err
 
+    def test_tensor_header_dims_below_one_rejected(self, capsys, cell_file, tmp_path):
+        batch = tmp_path / "odd.tensor"
+        batch.write_bytes(b"SWAPTENSOR v1 -2 -3 4 4\n" + b"\x00" * 384)
+        code, out, err = run(capsys, "score", "--cell", cell_file, "--batch", str(batch))
+        assert code == 1
+        assert err == "error: tensor header dims must be positive: 'SWAPTENSOR v1 -2 -3 4 4'\n"
+        assert out == ""
+
+    def test_negative_seed_scores(self, capsys, cell_file):
+        code, out, _ = run(capsys, "score", "--cell", cell_file, "--batch", "gauss:4x3x6x6", "--seed", "-1")
+        assert code == 0
+        assert int(parse_kv(out)["swap_score"]) >= 1
+
     def test_head_units_without_head_rejected(self, capsys, cell_file, score_calls):
         code, out, err = run(capsys, "score", "--cell", cell_file, "--head-units", "-5")
         assert code == 1
@@ -228,6 +241,12 @@ class TestSearchCommand:
         code, _, err = run(capsys, "search", "--config", self.write_config(tmp_path, **extra))
         assert code == 1
         assert f"config key {key}: " in err
+
+    def test_negative_seed_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "search", "--config", self.write_config(tmp_path, seed=-1))
+        assert code == 1
+        assert err == "error: seed must be non-negative, got -1\n"
+        assert out == ""
 
     def test_checkpoint_every_below_one_rejected(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, checkpoint_every=-3)
@@ -765,6 +784,26 @@ class TestAblateDims:
         assert code == 1
         assert err == f"error: {message}\n"
         assert out == "" and score_calls == []
+
+    def test_non_integer_dims_named(self, capsys, score_calls):
+        code, out, err = run(capsys, "ablate-dims", "--dims", "3x4x4,3xax4", "--cells", "2", "--depth", "1")
+        assert code == 1
+        assert err == "error: dims '3xax4' must be CxWxH with integer C, W and H\n"
+        assert out == "" and score_calls == []
+
+    def test_negative_seed_rejected_for_random_cells(self, capsys, score_calls):
+        code, out, err = run(capsys, "ablate-dims", "--dims", "3x4x4", "--cells", "2", "--seed", "-1")
+        assert code == 1
+        assert err == "error: --seed must be non-negative when drawing random cells, got -1\n"
+        assert out == "" and score_calls == []
+
+    def test_negative_seed_scores_the_truth_table(self, capsys, truth_file):
+        code, out, _ = run(
+            capsys, "ablate-dims", "--dims", "3x5x5", "--truth", truth_file, "--seed", "-1",
+            "--batch-size", "4", "--depth", "1", "--stem-channels", "4",
+        )
+        assert code == 0
+        assert out.count("dims=") == 1
 
     @pytest.mark.parametrize("units", ["3", "10"])
     def test_head_units_without_head_rejected(self, capsys, score_calls, units):

@@ -226,6 +226,10 @@ class TestSearchLoop:
         assert small_config(population=9).tournament_size == 5
         assert small_config(population=8).tournament_size == 4
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            small_config(seed=-1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             small_config(population=1)

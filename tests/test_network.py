@@ -19,6 +19,7 @@ from swapnas.cells import (
     ShapeError,
     nb201_like_assembly,
     random_cell,
+    trace_graph,
     trace_shapes,
 )
 from swapnas.metric import standard_pattern_cardinality, swap_score
@@ -137,6 +138,15 @@ class TestInputBatch:
     def test_tensor_file_payload_checked_against_header(self, tmp_path, header, message):
         path = tmp_path / "odd.tensor"
         path.write_bytes(header + b"\n" + b"\x00" * 40)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_tensor_file(path)
+
+    @pytest.mark.parametrize("dims", ["-2 -3 4 4", "-1 3 4 4", "0 3 4 4"])
+    def test_tensor_file_rejects_header_dims_below_one(self, tmp_path, dims):
+        # The first header's product matches the 384-byte payload, so only the dims check stops it.
+        path = tmp_path / "odd.tensor"
+        path.write_bytes(f"SWAPTENSOR v1 {dims}\n".encode("ascii") + b"\x00" * 384)
+        message = f"tensor header dims must be positive: 'SWAPTENSOR v1 {dims}'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_tensor_file(path)
 
@@ -724,6 +734,23 @@ class TestReferencePipeline:
         assert splits_a_conv(net, batch) == blocked
         got = forward_capture(net, batch, standardise=standardise).packed_rows
         assert got.tobytes() == reference_capture(net, batch, standardise).tobytes()
+
+
+class TestGraphTrace:
+    @settings(max_examples=100, deadline=None)
+    @given(cells_with_batches())
+    def test_one_walk_matches_the_network_and_its_capture(self, case):
+        net, batch = case
+        trace = trace_graph(net.nodes, batch.dims)
+        assert trace.parameters == sum(w.size for w in net.weights if w is not None)
+        scored = sum(c * w * h for node, (c, w, h) in zip(net.nodes, trace.shapes) if node.scored)
+        assert scored == forward_capture(net, batch, standardise=False).n_values
+        readers = [i for node in net.nodes for i in node.inputs]
+        assert trace.consumers == tuple(readers.count(k) for k in range(len(net.nodes)))
+        bare = trace_graph(net.nodes, (batch.channels,))
+        assert [c for c, _, _ in bare.shapes] == [c for c, _, _ in trace.shapes]
+        assert bare.weight_shapes == trace.weight_shapes
+        assert bare.parameters == trace.parameters
 
 
 class TestScaleInvariance:

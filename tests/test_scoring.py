@@ -7,6 +7,7 @@ import pytest
 
 import swapnas.cells
 import swapnas.network
+import swapnas.scoring
 from swapnas.cells import (
     AssemblyConfig,
     CellMatrix,
@@ -166,3 +167,20 @@ class TestOneAssemblyPerScore:
         dims = [(3, 4, 4), (2, 5, 5), (1, 3, 3)]
         input_dim_ablation(cells, dims, 5, assembly=ASSEMBLY, reg="auto")
         assert len(assemble_calls) == len(cells) * len(dims)
+
+
+class TestGraphWalksPerScore:
+    def test_a_score_walks_the_graph_three_times(self, monkeypatch):
+        # The weight draw walks without map sizes, before the network meets
+        # the batch; forward_capture checks whatever network it is handed;
+        # and the scorer reads the size and MACs from its own walk.
+        calls = []
+        original = swapnas.cells.trace_graph
+        for module in (swapnas.cells, swapnas.network, swapnas.scoring):
+            def counted(*args, _name=module.__name__):
+                calls.append(_name)
+                return original(*args)
+
+            monkeypatch.setattr(module, "trace_graph", counted)
+        score_cell(CELL, nb201_like_assembly(depth=3, stem_channels=4), gaussian_batch(3, (3, 8, 8), 1), 2)
+        assert sorted(calls) == ["swapnas.network", "swapnas.network", "swapnas.scoring"]
