@@ -370,7 +370,9 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
     """Check every node rule and derive every shape and cost, in one walk in node order.
 
     Rejects an input node that is scored or has inputs, an input index
-    outside [0, own index), inputs of differing widths or sizes, any pool
+    outside [0, own index), inputs of differing widths or sizes, a conv or
+    avg-pool with stride below 1 or negative padding, a conv with kernel or
+    ``channels_out`` below 1, a dense node with ``units`` below 1, any pool
     but ``EDGE_OPS``'s, an avg-pool, skip or global-pool node that sets
     ``units`` or a ``channels_out`` other than 0 or its input's width, a
     kernel larger than the padded map and a dense layer on a map above 1x1.
@@ -411,12 +413,22 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
             raise AssemblyError(f"node {node.name} sums inputs of differing widths {sorted(ins)}")
         c = ins.pop()
         window = (node.kernel, node.stride, node.padding)
+        if node.kind in ("conv", "avg-pool") and (node.stride < 1 or node.padding < 0):
+            raise AssemblyError(
+                f"node {node.name} ({node.kind}) needs stride >= 1 and padding >= 0, "
+                f"got stride {node.stride}, padding {node.padding}"
+            )
         if node.kind == "avg-pool" and window != (_POOL.kernel, _POOL.stride, _POOL.padding):
             raise AssemblyError(
                 f"node {node.name} pools with kernel {node.kernel}, stride {node.stride}, padding {node.padding}; "
                 f"the only pool is {_POOL.name} (kernel {_POOL.kernel}, stride {_POOL.stride}, padding {_POOL.padding})"
             )
         if node.kind == "conv":
+            if node.kernel < 1 or node.channels_out < 1:
+                raise AssemblyError(
+                    f"node {node.name} (conv) needs kernel >= 1 and channels_out >= 1, "
+                    f"got kernel {node.kernel}, channels_out {node.channels_out}"
+                )
             c_out = node.channels_out
         elif node.kind in ("avg-pool", "skip", "global-pool"):
             # These keep their input's width; 0 leaves channels_out unset.
@@ -431,6 +443,8 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
                 )
             c_out = c
         elif node.kind == "dense":
+            if node.units < 1:
+                raise AssemblyError(f"node {node.name} (dense) needs units >= 1, got {node.units}")
             c_out = node.units
         else:
             raise AssemblyError(f"unknown node kind {node.kind!r} at {node.name}")

@@ -100,27 +100,40 @@ class InsufficientDataError(ValueError):
     """Fewer than two matched observations."""
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ASCII text via a sibling temp file and rename, so readers never see partials.
+def write_all(fd: int, data: bytes) -> None:
+    """``os.write`` until every byte of ``data`` is out."""
+    data = memoryview(data)
+    while data:
+        data = data[os.write(fd, data):]
 
-    The temp file is unique (``mkstemp``, mode 0600), so two writers to one
-    path never rename each other's partial file.  Non-ASCII text raises
-    ``UnicodeEncodeError`` before any file is made.
+
+def replace_file(path, data: bytes) -> int:
+    """Write ``data`` to a sibling temp file, rename it over ``path`` and return it open.
+
+    Readers of ``path`` see the old file or all of ``data``, never a partial
+    file.  The temp file is unique (``mkstemp``, mode 0600), so two writers
+    to one path never rename each other's partial file.  The caller owns the
+    returned descriptor, whose offset is at the end of ``data``.
     """
-    data = memoryview(text.encode("ascii"))
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        write_all(fd, data)
         os.replace(tmp, path)
     except BaseException:
+        os.close(fd)
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return fd
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ASCII text via a sibling temp file and rename (:func:`replace_file`).
+
+    Non-ASCII text raises ``UnicodeEncodeError`` before any file is made.
+    """
+    os.close(replace_file(path, text.encode("ascii")))
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,21 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import zlib
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell
-from .evaluation import atomic_write_text, estimate_mu_sigma
+from .evaluation import estimate_mu_sigma, replace_file, write_all
 from .metric import RegularisationParams, ScoreRecord, regularised_swap_score
 from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_cell
 
-CHECKPOINT_MAGIC = "SWAPCKPT 3"
+CHECKPOINT_MAGIC = "SWAPCKPT 4"
+# A save that finds this many checkpoint lines in the run's file starts a new file.
+CHECKPOINT_LINES = 16
 
 # ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -203,6 +207,17 @@ class _SearchState:
         # Each trace entry's checkpoint JSON, in order, encoded the first time
         # it is written.  It is not checkpointed; a resumed run rebuilds it.
         self.trace_json: list[str] = []
+        # The checkpoint file this state appends to: its path, its open
+        # descriptor and the checkpoint lines it holds (see save_checkpoint).
+        self.checkpoint_path = None
+        self.checkpoint_fd: int | None = None
+        self.checkpoint_lines = 0
+
+    def close_checkpoint(self) -> None:
+        """Close the checkpoint descriptor, if open; the next save starts a new file."""
+        fd, self.checkpoint_fd = self.checkpoint_fd, None
+        if fd is not None:
+            os.close(fd)
 
     def initialise(self) -> None:
         cells = [random_cell(self.cfg.nodes, self.rng) for _ in range(self.cfg.population)]
@@ -297,12 +312,21 @@ def config_differences(a: SearchConfig, b: SearchConfig) -> list[str]:
 
 
 def save_checkpoint(path, state: _SearchState) -> None:
-    """Versioned structured-text snapshot enabling an exact resume.
+    """Append a snapshot enabling an exact resume to the run's checkpoint file.
 
-    The body is ``json.dumps(body, sort_keys=True)`` of the keys below.  It
-    is joined from per-key JSON in sorted-key order: the config's JSON is
-    encoded once per run, each member's and each trace entry's once per
-    run, and only the counters, the bell and the generator state per call.
+    The file is a ``CHECKPOINT_MAGIC`` line and then one line per save,
+    ``<crc32 of body as 8 hex digits> <body>``.  The body is
+    ``json.dumps(body, sort_keys=True)`` of the keys below.  It is joined
+    from per-key JSON in sorted-key order: the config's JSON is encoded once
+    per run, each member's and each trace entry's once per run, and only the
+    counters, the bell and the generator state per call.
+
+    The line is appended to the descriptor ``state`` keeps open.  The first
+    save of a state (which drops a resumed file's torn tail), a save to
+    another path and a save that finds ``CHECKPOINT_LINES`` lines write a
+    new one-line file with :func:`replace_file` instead and keep it open.
+    A failed append closes the descriptor, so nothing is appended after a
+    torn line.
     """
     state.trace_json += [_encode(score) for score in state.trace[len(state.trace_json):]]
     pieces = {
@@ -317,7 +341,20 @@ def save_checkpoint(path, state: _SearchState) -> None:
     }
     # Every key is a plain identifier, so its JSON is the key in quotes.
     body = "{" + ", ".join(f'"{key}": {pieces[key]}' for key in sorted(pieces)) + "}"
-    atomic_write_text(path, CHECKPOINT_MAGIC + "\n" + body + "\n")
+    data = body.encode("ascii")
+    line = b"%08x %s\n" % (zlib.crc32(data), data)
+    opened = state.checkpoint_fd is not None and path == state.checkpoint_path
+    if not opened or state.checkpoint_lines >= CHECKPOINT_LINES:
+        state.close_checkpoint()
+        state.checkpoint_fd = replace_file(path, CHECKPOINT_MAGIC.encode("ascii") + b"\n" + line)
+        state.checkpoint_path, state.checkpoint_lines = path, 1
+        return
+    try:
+        write_all(state.checkpoint_fd, line)
+    except BaseException:
+        state.close_checkpoint()
+        raise
+    state.checkpoint_lines += 1
 
 
 def _count(value) -> int:
@@ -371,38 +408,65 @@ def _population(value, cfg: SearchConfig) -> list[Individual]:
     return population
 
 
-def load_checkpoint(path) -> _SearchState:
-    """Read a checkpoint back; a malformed one raises ``ValueError`` naming the path and key."""
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint: {magic!r}")
-        text = fh.read()
+def _read_line(line: bytes, where: str) -> tuple[SearchConfig, dict]:
+    """One checkpoint line's config and the state attributes it restores.
+
+    A fault raises ``ValueError`` starting with ``where`` and naming the key.
+    """
+    data = line[9:]
+    if line[8:9] != b" " or line[:8] != b"%08x" % zlib.crc32(data):
+        raise ValueError(f"{where}: checksum does not match the checkpoint body")
     try:
-        body = json.loads(text)
+        body = json.loads(data.decode("ascii"))
     except ValueError as exc:
-        raise ValueError(f"{path}: checkpoint body is not JSON: {exc}") from None
+        raise ValueError(f"{where}: checkpoint body is not JSON: {exc}") from None
     if not isinstance(body, dict):
-        raise ValueError(f"{path}: checkpoint body is not a JSON object")
+        raise ValueError(f"{where}: checkpoint body is not a JSON object")
 
     def field(key, parse):
         if key not in body:
-            raise ValueError(f"{path}: checkpoint {key} missing")
+            raise ValueError(f"{where}: checkpoint {key} missing")
         try:
             return parse(body[key])
         except KeyError as exc:
-            raise ValueError(f"{path}: checkpoint {key} invalid: missing key {exc}") from None
+            raise ValueError(f"{where}: checkpoint {key} invalid: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: checkpoint {key} invalid: {exc}") from None
+            raise ValueError(f"{where}: checkpoint {key} invalid: {exc}") from None
 
-    state = _SearchState(field("config", _config_from_dict))
-    state.cycle = field("cycle", _count)
-    state.evaluations = field("evaluations", _count)
-    state.next_birth = field("next_birth", _count)
-    state.trace = field("trace", _trace)
-    state.reg = field("reg", lambda reg: None if reg is None else RegularisationParams(**reg))
-    state.population = field("population", lambda items: _population(items, state.cfg))
-    field("rng_state", lambda rng_state: setattr(state.rng.bit_generator, "state", rng_state))
+    cfg = field("config", _config_from_dict)
+    rng = np.random.default_rng(cfg.seed)
+    restored = {
+        "cycle": field("cycle", _count),
+        "evaluations": field("evaluations", _count),
+        "next_birth": field("next_birth", _count),
+        "trace": field("trace", _trace),
+        "reg": field("reg", lambda reg: None if reg is None else RegularisationParams(**reg)),
+        "population": field("population", lambda items: _population(items, cfg)),
+        "rng": rng,
+    }
+    field("rng_state", lambda rng_state: setattr(rng.bit_generator, "state", rng_state))
+    return cfg, restored
+
+
+def load_checkpoint(path) -> _SearchState:
+    """Read back the state of the last complete line of a checkpoint file.
+
+    A final line without its newline is a torn append and is skipped.  Every
+    complete line is checked, so a malformed one raises ``ValueError``
+    naming the path, the line number and the fault.
+    """
+    with open(path, "rb") as fh:
+        magic = fh.readline().rstrip(b"\n").decode("ascii", "backslashreplace")
+        if magic != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint: {magic!r}")
+        *lines, _torn = fh.read().split(b"\n")
+    if not lines:
+        raise ValueError(f"{path}: checkpoint holds no complete line")
+    for number, line in enumerate(lines, start=2):
+        cfg, restored = _read_line(line, f"{path}: line {number}")
+    state = _SearchState(cfg)
+    for key, value in restored.items():
+        setattr(state, key, value)
     return state
 
 
@@ -433,10 +497,13 @@ def run_search(
     """Run the full search loop; identical config and seed give identical results."""
     _check_every(checkpoint_every)
     state = _SearchState(cfg)
-    state.initialise()
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, state)
-    return _drive(state, checkpoint_path, checkpoint_every, on_cycle)
+    try:
+        state.initialise()
+        if checkpoint_path:
+            save_checkpoint(checkpoint_path, state)
+        return _drive(state, checkpoint_path, checkpoint_every, on_cycle)
+    finally:
+        state.close_checkpoint()
 
 
 def resume_search(
@@ -453,4 +520,7 @@ def resume_search(
     """
     _check_every(checkpoint_every)
     state = load_checkpoint(checkpoint_path)
-    return _drive(state, checkpoint_path, checkpoint_every, on_cycle)
+    try:
+        return _drive(state, checkpoint_path, checkpoint_every, on_cycle)
+    finally:
+        state.close_checkpoint()

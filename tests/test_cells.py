@@ -410,6 +410,57 @@ class TestGraphWalkerErrors:
         with pytest.raises(AssemblyError, match=message):
             forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                dict(kind="conv", channels_out=4, kernel=3, stride=0),
+                "node n (conv) needs stride >= 1 and padding >= 0, got stride 0, padding 0",
+            ),
+            (
+                dict(kind="conv", channels_out=4, kernel=3, padding=-1),
+                "node n (conv) needs stride >= 1 and padding >= 0, got stride 1, padding -1",
+            ),
+            (
+                dict(kind="avg-pool", kernel=3, stride=0, padding=1),
+                "node n (avg-pool) needs stride >= 1 and padding >= 0, got stride 0, padding 1",
+            ),
+            (
+                dict(kind="conv", channels_out=4, kernel=0),
+                "node n (conv) needs kernel >= 1 and channels_out >= 1, got kernel 0, channels_out 4",
+            ),
+            (
+                dict(kind="conv", channels_out=0, kernel=1),
+                "node n (conv) needs kernel >= 1 and channels_out >= 1, got kernel 1, channels_out 0",
+            ),
+            (dict(kind="dense", units=0), "node n (dense) needs units >= 1, got 0"),
+        ],
+        ids=["conv-stride", "conv-padding", "pool-stride", "conv-kernel", "conv-channels", "dense-units"],
+    )
+    def test_node_parameters_below_their_least_value(self, fields, message):
+        # Each used to surface as a bare ZeroDivisionError, or not at all.
+        nodes = (NodeSpec("input", "input"), NodeSpec("n", inputs=(0,), **fields))
+        for dims in ((3,), (3, 1, 1), (3, 4, 4)):
+            with pytest.raises(AssemblyError) as caught:
+                trace_graph(nodes, dims)
+            assert str(caught.value) == message
+        with pytest.raises(AssemblyError) as caught:
+            network_from_nodes(nodes, seed=0, in_channels=3)
+        assert str(caught.value) == message
+        net = NetworkInstance(nodes, (None, None), seed=0, in_channels=3)
+        with pytest.raises(AssemblyError) as caught:
+            forward_capture(net, gaussian_batch(2, (3, 1, 1), seed=0))
+        assert str(caught.value) == message
+
+    def test_conv_fed_by_a_conv_without_channels(self):
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("a", "conv", (0,), channels_out=0, kernel=1),
+            NodeSpec("b", "conv", (1,), channels_out=4, kernel=1, scored=True),
+        )
+        with pytest.raises(AssemblyError, match=r"^node a \(conv\) needs kernel >= 1 and channels_out >= 1"):
+            network_from_nodes(nodes, seed=0, in_channels=3)
+
     def test_inputs_of_differing_widths(self):
         nodes = (
             NodeSpec("input", "input"),

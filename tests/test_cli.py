@@ -5,6 +5,7 @@ import json
 import runpy
 import sys
 import warnings
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -168,6 +169,16 @@ class TestScore:
         code, _, err = run(capsys, "score", "--cell", cell_file, "--mu", "1.0")
         assert code == 1
         assert "together" in err
+
+
+def checkpoint_line(body: str) -> str:
+    """A checkpoint line holding ``body`` under its valid checksum."""
+    return f"{zlib.crc32(body.encode('ascii')):08x} {body}\n"
+
+
+def last_body(path) -> str:
+    """The body of a checkpoint file's last line."""
+    return path.read_text().rstrip("\n").rsplit("\n", 1)[1].split(" ", 1)[1]
 
 
 def edit_body(**changes):
@@ -341,16 +352,17 @@ class TestSearchCommand:
         assert err.endswith("differs from checkpoint " + base["checkpoint"] + " in: standardise\n")
         assert out == ""
 
-    def test_version_2_checkpoint_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("version", ["SWAPCKPT 2", "SWAPCKPT 3"])
+    def test_older_checkpoint_versions_rejected(self, capsys, tmp_path, version):
         ckpt = tmp_path / "search.ckpt"
         cfg = self.write_config(tmp_path, checkpoint=str(ckpt), resume="true")
         assert main(["search", "--config", cfg]) == 0
         capsys.readouterr()
-        _, body = ckpt.read_text().split("\n", 1)
-        ckpt.write_text("SWAPCKPT 2\n" + body)
+        # A version 3 file holds one snapshot: the body alone after the magic line.
+        ckpt.write_text(version + "\n" + last_body(ckpt) + "\n")
         code, out, err = run(capsys, "search", "--config", cfg)
         assert code == 1
-        assert "not a SWAPCKPT 3 checkpoint: 'SWAPCKPT 2'" in err
+        assert f"not a SWAPCKPT 4 checkpoint: '{version}'" in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -400,17 +412,16 @@ class TestSearchCommand:
         cfg = self.write_config(tmp_path, checkpoint=str(ckpt), resume="true")
         assert main(["search", "--config", cfg]) == 0
         capsys.readouterr()
-        magic, body = ckpt.read_text().split("\n", 1)
-        ckpt.write_text(magic + "\n" + make_body(body) + "\n")
+        ckpt.write_text("SWAPCKPT 4\n" + checkpoint_line(make_body(last_body(ckpt))))
         code, out, err = run(capsys, "search", "--config", cfg)
         assert code == 1
-        assert err.startswith(f"error: {ckpt}: {fault}")
+        assert err.startswith(f"error: {ckpt}: line 2: {fault}")
         assert out == ""
 
-    def test_resumed_summary_matches_the_uninterrupted_run(self, capsys, tmp_path):
-        full = tmp_path / "full.txt"
-        assert main(["search", "--config", self.write_config(tmp_path, out_summary=str(full))]) == 0
-        # Interrupt an identically configured run after its second cycle.
+    OUTPUTS = ("out_cell", "out_trace", "out_summary")
+
+    def interrupted_checkpoint(self, tmp_path):
+        """The checkpoint of a ``BASE`` search stopped after its second cycle: lines 2-4."""
         ckpt = tmp_path / "search.ckpt"
         cfg = SearchConfig(
             population=6, cycles=4, mutation_times=2, seed=11, batch="gauss:4x3x6x6",
@@ -423,6 +434,12 @@ class TestSearchCommand:
 
         with pytest.raises(KeyboardInterrupt):
             run_search(cfg, checkpoint_path=str(ckpt), on_cycle=stop)
+        return ckpt
+
+    def test_resumed_summary_matches_the_uninterrupted_run(self, capsys, tmp_path):
+        full = tmp_path / "full.txt"
+        assert main(["search", "--config", self.write_config(tmp_path, out_summary=str(full))]) == 0
+        ckpt = self.interrupted_checkpoint(tmp_path)
         resumed = tmp_path / "resumed.txt"
         resume_cfg = self.write_config(
             tmp_path, checkpoint=str(ckpt), resume="true", out_summary=str(resumed)
@@ -431,6 +448,34 @@ class TestSearchCommand:
         capsys.readouterr()
         assert "cycles=4\n" in resumed.read_text()
         assert resumed.read_bytes() == full.read_bytes()
+
+    def test_resume_skips_a_torn_tail(self, capsys, tmp_path):
+        full = {key: tmp_path / f"full.{key}" for key in self.OUTPUTS}
+        assert main(["search", "--config", self.write_config(tmp_path, **full)]) == 0
+        ckpt = self.interrupted_checkpoint(tmp_path)
+        raw = ckpt.read_bytes()
+        last = raw[raw.rindex(b"\n", 0, -1) + 1:]
+        ckpt.write_bytes(raw + last[: len(last) // 2])
+        resumed = {key: tmp_path / f"resumed.{key}" for key in self.OUTPUTS}
+        code, _, _ = run(
+            capsys, "search", "--config",
+            self.write_config(tmp_path, checkpoint=str(ckpt), resume="true", **resumed),
+        )
+        assert code == 0
+        for key in self.OUTPUTS:
+            assert resumed[key].read_bytes() == full[key].read_bytes()
+
+    def test_resume_refuses_a_corrupted_middle_line(self, capsys, tmp_path):
+        ckpt = self.interrupted_checkpoint(tmp_path)
+        magic, first, middle, last = ckpt.read_bytes().splitlines(keepends=True)
+        middle = middle.replace(b'"cycle": 1', b'"cycle": 7')
+        ckpt.write_bytes(magic + first + middle + last)
+        code, out, err = run(
+            capsys, "search", "--config", self.write_config(tmp_path, checkpoint=str(ckpt), resume="true"),
+        )
+        assert code == 1
+        assert err == f"error: {ckpt}: line 3: checksum does not match the checkpoint body\n"
+        assert out == ""
 
 
 # Required arguments of each command that scores cells; all else is left at its default.

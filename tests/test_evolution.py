@@ -1,8 +1,12 @@
 """Tests for the mutation operators, crossover and the search loop."""
 
+import functools
 import json
+import math
+import os
 import shutil
 import tempfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,6 +26,7 @@ from swapnas.evolution import (
     _SearchState,
     batch_for_config,
     crossover,
+    load_checkpoint,
     mutate_connectivity,
     mutate_operation,
     resume_search,
@@ -47,6 +52,11 @@ def small_config(**overrides) -> SearchConfig:
     )
     base.update(overrides)
     return SearchConfig(**base)
+
+
+def last_line(raw: bytes) -> bytes:
+    """The last complete line of checkpoint file bytes, its checksum and body."""
+    return raw[: raw.rindex(b"\n")].rsplit(b"\n", 1)[1]
 
 
 @pytest.fixture
@@ -329,8 +339,9 @@ class TestCheckpointing:
             for _ in range(cut):
                 state.run_cycle()
             save_checkpoint(cut_path, state)
+            state.close_checkpoint()
             assert resume_search(cut_path) == full
-            assert cut_path.read_bytes() == full_path.read_bytes()
+            assert last_line(cut_path.read_bytes()) == last_line(full_path.read_bytes())
 
 
     @settings(max_examples=40, deadline=None)
@@ -355,18 +366,168 @@ class TestCheckpointing:
             state = _SearchState(cfg)
             state.initialise()
             save_checkpoint(path, state)
+            state.close_checkpoint()
             files = {0: path.read_bytes()}
             run_search(cfg, checkpoint_path=path, on_cycle=lambda c, *_: files.update({c: path.read_bytes()}))
             for cycle, raw in files.items():
-                magic, body, end = raw.decode("ascii").split("\n")
+                magic, *lines, end = raw.decode("ascii").split("\n")
                 assert (magic, end) == (CHECKPOINT_MAGIC, "")
+                assert len(lines) == cycle + 1
+                crc, body = lines[-1].split(" ", 1)
+                assert crc == f"{zlib.crc32(body.encode()):08x}"
                 assert body == json.dumps(json.loads(body), sort_keys=True)
                 assert json.loads(body)["cycle"] == cycle
 
             cut_path.write_bytes(files[cut])
             resumed = {}
-            resume_search(cut_path, on_cycle=lambda c, *_: resumed.update({c: cut_path.read_bytes()}))
-            assert resumed == {c: files[c] for c in range(cut + 1, cycles + 1)}
+            resume_search(cut_path, on_cycle=lambda c, *_: resumed.update({c: last_line(cut_path.read_bytes())}))
+            assert resumed == {c: last_line(files[c]) for c in range(cut + 1, cycles + 1)}
+
+
+@functools.cache
+def checkpoint_log() -> tuple[bytes, tuple[bytes, ...]]:
+    """The magic line and the eight lines of a seven-cycle search's checkpoint file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.ckpt"
+        run_search(small_config(population=4, cycles=7, mutation_times=2, seed=5, batch="gauss:4x3x5x5"),
+                   checkpoint_path=path)
+        magic, *lines = path.read_bytes().splitlines(keepends=True)
+    return magic, tuple(lines)
+
+
+class TestCheckpointFile:
+    """The one-file checkpoint log: its frames, its reader and its descriptor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_cut_log_loads_its_last_complete_line(self, data):
+        magic, lines = checkpoint_log()
+        k = data.draw(st.integers(1, len(lines)), label="k")
+        log = magic + b"".join(lines[:k])
+        cut = data.draw(st.integers(len(magic) + len(lines[0]), len(log)), label="cut")
+        complete = log[len(magic):cut].count(b"\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "cut.ckpt", Path(tmp) / "again.ckpt"
+            path.write_bytes(log[:cut])
+            state = load_checkpoint(path)
+            assert state.cycle == complete - 1
+            # Saving the loaded state writes back the very line it came from.
+            save_checkpoint(again, state)
+            state.close_checkpoint()
+            assert again.read_bytes() == magic + lines[complete - 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_flipped_byte_names_the_path_and_its_line(self, data):
+        magic, lines = checkpoint_log()
+        k = data.draw(st.integers(1, len(lines)), label="k")
+        j = data.draw(st.integers(0, k - 1), label="line")
+        at = data.draw(st.integers(0, len(lines[j]) - 2), label="byte")  # not its newline
+        xor = data.draw(st.integers(1, 255), label="xor")
+        line = bytearray(lines[j])
+        line[at] ^= xor
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flipped.ckpt"
+            path.write_bytes(magic + b"".join(lines[:j]) + bytes(line) + b"".join(lines[j + 1:k]))
+            with pytest.raises(ValueError) as caught:
+                load_checkpoint(path)
+        assert str(caught.value).startswith(f"{path}: line {j + 2}: ")
+
+    @pytest.mark.parametrize("tail", [b"", b"0123abcd {"])
+    def test_a_file_without_a_complete_line_is_refused(self, tmp_path, tail):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC.encode() + b"\n" + tail)
+        with pytest.raises(ValueError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == f"{path}: checkpoint holds no complete line"
+
+    def test_one_new_file_per_sixteen_saves_and_no_descriptor_left_open(self, tmp_path, monkeypatch):
+        path = tmp_path / "search.ckpt"
+        replaced, saves, opened = [], [], set()
+        real_replace, real_close, real_save = os.replace, os.close, evolution.save_checkpoint
+        real_replace_file = evolution.replace_file
+
+        def spy_replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        def spy_replace_file(dst, data):
+            fd = real_replace_file(dst, data)
+            opened.add(fd)
+            return fd
+
+        def spy_close(fd):
+            opened.discard(fd)
+            real_close(fd)
+
+        def spy_save(dst, state):
+            before = len(replaced)
+            real_save(dst, state)
+            raw = path.read_bytes()
+            saves.append((len(replaced) > before, os.stat(path).st_ino, raw.count(b"\n") - 1))
+
+        monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(os, "close", spy_close)
+        monkeypatch.setattr(evolution, "replace_file", spy_replace_file)
+        monkeypatch.setattr(evolution, "save_checkpoint", spy_save)
+        cfg = small_config(population=4, cycles=40, mutation_times=2, batch="gauss:4x3x5x5")
+        result = run_search(cfg, checkpoint_path=path, checkpoint_every=1)
+        assert len(saves) == 41
+        assert len(replaced) <= math.ceil(41 / evolution.CHECKPOINT_LINES)
+        assert [k for k, (new, _, _) in enumerate(saves) if new] == [0, 16, 32]
+        for (_, before, _), (new, inode, _) in zip(saves, saves[1:]):
+            assert (inode != before) == new
+        assert [n for _, _, n in saves] == [k % 16 + 1 for k in range(41)]
+        assert opened == set()
+        assert [p.name for p in tmp_path.iterdir()] == ["search.ckpt"]
+        assert load_checkpoint(path).result() == result
+
+        def stop_at(last):
+            def stop(cycle, population, best):
+                if cycle == last:
+                    raise RuntimeError("stopped")
+
+            return stop
+
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_search(cfg, checkpoint_path=path, on_cycle=stop_at(20))
+        assert opened == set()
+        with pytest.raises(RuntimeError, match="stopped"):
+            resume_search(path, on_cycle=stop_at(30))
+        assert opened == set()
+        assert load_checkpoint(path).cycle == 30
+        assert [p.name for p in tmp_path.iterdir()] == ["search.ckpt"]
+
+    def test_a_failed_append_is_followed_by_a_new_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "search.ckpt"
+        state = _SearchState(small_config(population=4, batch="gauss:4x3x5x5"))
+        state.initialise()
+        save_checkpoint(path, state)
+        state.run_cycle()
+
+        def torn(fd, data):
+            os.write(fd, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(evolution, "write_all", torn)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, state)
+        assert state.checkpoint_fd is None
+        assert load_checkpoint(path).cycle == 0  # the torn tail is skipped
+        monkeypatch.undo()
+        save_checkpoint(path, state)
+        state.close_checkpoint()
+        assert path.read_bytes().count(b"\n") == 2
+        assert load_checkpoint(path).cycle == 1
+
+    def test_a_save_to_another_path_starts_a_file_there(self, tmp_path):
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        state = _SearchState(small_config(population=4, batch="gauss:4x3x5x5"))
+        state.initialise()
+        save_checkpoint(first, state)
+        save_checkpoint(second, state)
+        state.close_checkpoint()
+        assert first.read_bytes() == second.read_bytes()
 
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
