@@ -51,10 +51,12 @@ class CellMatrix:
 
     Construction only enforces that the matrix is square with at least two
     nodes; use :func:`validate_cell` to check the search-space invariants,
-    which keeps invalid matrices representable for error reporting.
+    which keeps invalid matrices representable for error reporting.  The
+    codes are held as one row-major tuple of Python ints; ``codes``, the
+    read-only int64 array, is made on first use.
     """
 
-    __slots__ = ("codes", "_key", "_text")
+    __slots__ = ("_n", "_flat", "_codes", "_text", "_edges")
 
     def __init__(self, codes) -> None:
         arr = np.array(codes, dtype=np.int64)
@@ -63,53 +65,83 @@ class CellMatrix:
         if arr.shape[0] < 2:
             raise ValueError("a cell needs at least two nodes")
         arr.setflags(write=False)
-        object.__setattr__(self, "codes", arr)
-        # Identity is fixed at construction; the text form is filled on first use.
-        object.__setattr__(self, "_key", (arr.shape[0], arr.tobytes()))
+        self._fill(arr.tolist(), arr)
+
+    @classmethod
+    def _from_rows(cls, rows: list[list[int]]) -> "CellMatrix":
+        """The cell of ``rows``, a square list of at least two lists of ints, unchecked."""
+        cell = object.__new__(cls)
+        cell._fill(rows, None)
+        return cell
+
+    def _fill(self, rows, codes) -> None:
+        # The flat codes are the cell's identity; the array, the text form
+        # and the edges are filled on first use.
+        object.__setattr__(self, "_n", len(rows))
+        object.__setattr__(self, "_flat", tuple([c for row in rows for c in row]))
+        object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_text", None)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CellMatrix is immutable")
 
     @property
+    def codes(self) -> np.ndarray:
+        """The codes as a read-only N x N int64 array."""
+        if self._codes is None:
+            arr = np.array(self._flat, dtype=np.int64).reshape(self._n, self._n)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_codes", arr)
+        return self._codes
+
+    @property
     def n_nodes(self) -> int:
-        return int(self.codes.shape[0])
+        return self._n
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CellMatrix):
             return NotImplemented
-        return self._key == other._key
+        return self._flat == other._flat
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._flat)
 
     def __repr__(self) -> str:
-        rows = ["[" + " ".join(str(int(c)) for c in row) + "]" for row in self.codes]
+        rows = ["[" + " ".join(map(str, row)) + "]" for row in self.rows()]
         return f"CellMatrix({', '.join(rows)})"
+
+    def rows(self) -> list[list[int]]:
+        """The codes as a new list of row lists, equal to ``codes.tolist()``."""
+        n, flat = self._n, self._flat
+        return [list(flat[i : i + n]) for i in range(0, n * n, n)]
 
     def replace(self, i: int, j: int, code: int) -> "CellMatrix":
         """Copy with entry (i, j) set to ``code``."""
-        codes = self.codes.copy()
-        codes[i, j] = code
-        return CellMatrix(codes)
+        rows = self.rows()
+        rows[i][j] = int(code)
+        return CellMatrix._from_rows(rows)
 
     def edges(self) -> list[tuple[int, int, int]]:
-        """Nonzero upper-triangular entries as (source, target, code)."""
-        rows = self.codes.tolist()
-        n = len(rows)
-        return [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n) if rows[i][j] != OP_NONE]
+        """Nonzero upper-triangular entries as (source, target, code), in a new list."""
+        if self._edges is None:
+            n, flat = self._n, self._flat
+            upper = ((i, j, flat[i * n + j]) for i in range(n) for j in range(i + 1, n))
+            edges = tuple(edge for edge in upper if edge[2] != OP_NONE)
+            object.__setattr__(self, "_edges", edges)
+        return list(self._edges)
 
     def stable_hash(self) -> int:
         """Platform-independent 64-bit digest of the encoding."""
-        payload = f"{self.n_nodes}:" + " ".join(str(int(c)) for c in self.codes.ravel())
+        payload = f"{self._n}:" + " ".join(map(str, self._flat))
         digest = hashlib.sha256(payload.encode("ascii")).digest()
         return int.from_bytes(digest[:8], "little")
 
     def encode(self) -> str:
         """Canonical two-line text form (``nodes`` and row-major ``matrix``)."""
         if self._text is None:
-            flat = " ".join(str(c) for c in self.codes.ravel().tolist())
-            object.__setattr__(self, "_text", f"nodes = {self.n_nodes}\nmatrix = {flat}\n")
+            flat = " ".join(map(str, self._flat))
+            object.__setattr__(self, "_text", f"nodes = {self._n}\nmatrix = {flat}\n")
         return self._text
 
     def encode_line(self) -> str:
@@ -176,8 +208,16 @@ def validate_cell(cell: CellMatrix) -> list[str]:
     nodes (no edges at all) are allowed since they take no part in the
     induced DAG.
     """
+    return validate_rows(cell.rows())
+
+
+def validate_rows(rows: list[list[int]]) -> list[str]:
+    """:func:`validate_cell` of the cell whose :meth:`CellMatrix.rows` are ``rows``.
+
+    The mutation operators try their candidate cells as rows and make a
+    :class:`CellMatrix` only of the one they return.
+    """
     violations: list[str] = []
-    rows = cell.codes.tolist()
     n = len(rows)
     in_deg = [0] * n
     out_deg = [0] * n
@@ -311,7 +351,8 @@ def assemble_descriptor(
     violations = validate_cell(cell)
     if violations:
         raise CellValidationError(violations)
-    n = cell.n_nodes
+    rows = cell.rows()
+    n = len(rows)
     nodes: list[NodeSpec] = [NodeSpec("input", "input")]
     width = cfg.stem_channels
     nodes.append(NodeSpec("stem", "conv", (0,), channels_out=width, kernel=3, padding=1, scored=True))
@@ -331,7 +372,7 @@ def assemble_descriptor(
         for j in range(1, n):
             ids = []
             for i in range(j):
-                code = int(cell.codes[i, j])
+                code = rows[i][j]
                 if code == OP_NONE:
                     continue
                 name, fields = EDGE_OPS[code]

@@ -30,7 +30,7 @@ from .evaluation import (
     write_report_csv,
     write_score_records,
 )
-from .evolution import SearchConfig, config_differences, load_checkpoint, resume_search, run_search
+from .evolution import SearchConfig, _resume, config_differences, load_checkpoint, run_search
 from .metric import RegularisationParams
 from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_and_capture
 
@@ -318,12 +318,13 @@ def _cmd_search(args) -> int:
     checkpoint = outputs.get("checkpoint")
     every = outputs.get("checkpoint_every", 1)
     if outputs.get("resume") and checkpoint and os.path.exists(checkpoint):
-        differing = config_differences(load_checkpoint(checkpoint).cfg, cfg)
+        state = load_checkpoint(checkpoint)
+        differing = config_differences(state.cfg, cfg)
         if differing:
             raise UsageError(
                 f"{args.config} differs from checkpoint {checkpoint} in: {', '.join(differing)}"
             )
-        result = resume_search(checkpoint, checkpoint_every=every, on_cycle=log_cycle)
+        result = _resume(state, checkpoint, every, log_cycle)
     else:
         result = run_search(
             cfg,

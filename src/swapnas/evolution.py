@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell
+from .cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell, validate_rows
 from .evaluation import estimate_mu_sigma, replace_file, write_all
 from .metric import RegularisationParams, ScoreRecord, regularised_swap_score
 from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_cell
@@ -66,24 +66,25 @@ def mutate_connectivity(cell: CellMatrix, rng) -> CellMatrix:
 
     Candidate (edge, slot) moves are tried in random order until one yields
     a valid cell, so the connection count is always preserved.  If no move
-    is legal the cell's wiring is saturated and an error is raised.
+    is legal the cell's wiring is saturated and an error is raised.  Moves
+    are tried on the cell's row lists; only the returned cell is built.
     """
     rng = np.random.default_rng(rng)
     edges = cell.edges()
     if not edges:
         raise NoEdgeError("cell has no connection to mutate")
     n = cell.n_nodes
-    holes = [(i, j) for i in range(n) for j in range(i + 1, n) if cell.codes[i, j] == OP_NONE]
-    if not holes:
+    if len(edges) == n * (n - 1) // 2:
         raise SaturationError("cell has no empty slot to move a connection into")
-    moves = [(e, h) for e in range(len(edges)) for h in range(len(holes))]
-    for mi in rng.permutation(len(moves)):
-        (ei, hi) = moves[mi]
-        i, j, code = edges[ei]
-        ti, tj = holes[hi]
-        moved = cell.replace(i, j, OP_NONE).replace(ti, tj, code)
-        if not validate_cell(moved):
-            return moved
+    rows = cell.rows()
+    holes = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == OP_NONE]
+    # Move number m takes edge m // len(holes) to hole m % len(holes).
+    for move in rng.permutation(len(edges) * len(holes)).tolist():
+        (i, j, code), (ti, tj) = edges[move // len(holes)], holes[move % len(holes)]
+        rows[i][j], rows[ti][tj] = OP_NONE, code
+        if not validate_rows(rows):
+            return CellMatrix._from_rows(rows)
+        rows[i][j], rows[ti][tj] = code, OP_NONE
     raise SaturationError("every connection move breaks the cell invariants")
 
 
@@ -93,18 +94,23 @@ def crossover(a: CellMatrix, b: CellMatrix, rng) -> tuple[CellMatrix, CellMatrix
     Target columns are tried in random order until the exchange leaves both
     children valid; identical parents therefore reproduce themselves.  If
     every exchange breaks an invariant the parents are returned unchanged.
+    Exchanges are tried on the parents' row lists; only returned children
+    are built.
     """
     if a.n_nodes != b.n_nodes:
         raise ValueError(f"node-count mismatch: {a.n_nodes} vs {b.n_nodes}")
     rng = np.random.default_rng(rng)
-    n = a.n_nodes
-    for j in rng.permutation(np.arange(1, n)):
-        ca = a.codes.copy()
-        cb = b.codes.copy()
-        ca[:j, j], cb[:j, j] = b.codes[:j, j].copy(), a.codes[:j, j].copy()
-        child_a, child_b = CellMatrix(ca), CellMatrix(cb)
-        if not validate_cell(child_a) and not validate_cell(child_b):
-            return child_a, child_b
+    rows_a, rows_b = a.rows(), b.rows()
+
+    def exchange(j: int) -> None:
+        for i in range(j):
+            rows_a[i][j], rows_b[i][j] = rows_b[i][j], rows_a[i][j]
+
+    for j in rng.permutation(np.arange(1, a.n_nodes)).tolist():
+        exchange(j)
+        if not validate_rows(rows_a) and not validate_rows(rows_b):
+            return CellMatrix._from_rows(rows_a), CellMatrix._from_rows(rows_b)
+        exchange(j)  # an exchange is its own inverse
     return a, b
 
 
@@ -203,7 +209,8 @@ class _SearchState:
         # The config never changes during a run; checkpoints splice in its JSON.
         self.config_json = json.dumps(asdict(cfg), sort_keys=True)
         # Keyed on the cell itself, not its 64-bit digest, so a hit is exact.
-        self.scored: dict[CellMatrix, ScoreRecord] = {}
+        # A hit returns the cell object first stored, whose encoding is cached.
+        self.scored: dict[CellMatrix, tuple[CellMatrix, ScoreRecord]] = {}
         # Each trace entry's checkpoint JSON, in order, encoded the first time
         # it is written.  It is not checkpointed; a resumed run rebuilds it.
         self.trace_json: list[str] = []
@@ -221,36 +228,49 @@ class _SearchState:
 
     def initialise(self) -> None:
         cells = [random_cell(self.cfg.nodes, self.rng) for _ in range(self.cfg.population)]
-        records = [self.score(cell) for cell in cells]
-        self.reg = estimate_mu_sigma([r.size_mb for r in records]) if self.cfg.reg == "auto" else self.cfg.reg
-        self.population = [self.individual(c, r) for c, r in zip(cells, records)]
+        scored = [self.score(cell) for cell in cells]
+        self.reg = estimate_mu_sigma([r.size_mb for _, r in scored]) if self.cfg.reg == "auto" else self.cfg.reg
+        self.population = [
+            Individual(cell, self.regularised(record), record.swap, record.size_mb, record.seed, birth)
+            for birth, (cell, record) in enumerate(scored, start=self.next_birth)
+        ]
+        self.next_birth += len(scored)
         self.trace.append(self.best().score)
 
-    def score(self, cell: CellMatrix) -> ScoreRecord:
-        """The raw record of one evaluation; a cell already scored is not scored again."""
-        self.evaluations += 1
-        record = self.scored.get(cell)
-        if record is None:
-            seed = derive_seed(self.cfg.seed, cell.stable_hash())
-            record = self.scored[cell] = score_cell(cell, self.cfg.assembly, self.batch, seed)
-        return record
+    def score(self, cell: CellMatrix) -> tuple[CellMatrix, ScoreRecord]:
+        """One evaluation: the memo's copy of ``cell`` and its raw record.
 
-    def individual(self, cell: CellMatrix, record: ScoreRecord) -> Individual:
-        """Apply the run's bell to a raw record and give it the next birth.
-
-        The score is ``record.regularised(self.reg).reg_swap``, computed
-        without copying the record.
+        A cell already scored is not scored again.
         """
-        if self.reg is None:
-            score = float(record.swap)
-        else:
-            score = regularised_swap_score(record.swap, record.size_mb, self.reg)
-        birth = self.next_birth
-        self.next_birth += 1
-        return Individual(cell, score, record.swap, record.size_mb, record.seed, birth)
+        self.evaluations += 1
+        hit = self.scored.get(cell)
+        if hit is None:
+            seed = derive_seed(self.cfg.seed, cell.stable_hash())
+            hit = self.scored[cell] = (cell, score_cell(cell, self.cfg.assembly, self.batch, seed))
+        return hit
 
-    def evaluate(self, cell: CellMatrix) -> Individual:
-        return self.individual(cell, self.score(cell))
+    def regularised(self, record: ScoreRecord) -> float:
+        """``record.regularised(self.reg).reg_swap``, computed without copying the record."""
+        if self.reg is None:
+            return float(record.swap)
+        return regularised_swap_score(record.swap, record.size_mb, self.reg)
+
+    def best_of(self, cells) -> tuple[CellMatrix, ScoreRecord, float, int]:
+        """Score ``cells`` in turn, each using up the next birth, and keep the best.
+
+        The best has the highest score, then the first encoding, then the
+        earliest birth.  It is returned as ``(cell, record, score, birth)``;
+        no ``Individual`` is built.
+        """
+        best = best_key = None
+        for cell in cells:
+            cell, record = self.score(cell)
+            score = self.regularised(record)
+            key = (-score, cell.encode(), self.next_birth)
+            if best is None or key < best_key:
+                best, best_key = (cell, record, score, self.next_birth), key
+            self.next_birth += 1
+        return best
 
     def best(self) -> Individual:
         return max(self.population, key=lambda ind: (ind.score, -ind.birth))
@@ -270,21 +290,17 @@ class _SearchState:
         sample_size = min(cfg.tournament_size, len(self.population))
         idx = self.rng.choice(len(self.population), size=sample_size, replace=False)
         candidates = sorted(
-            (self.population[i] for i in idx),
+            (self.population[i] for i in idx.tolist()),
             key=lambda ind: (-ind.score, ind.cell.encode()),
         )
         parent = candidates[0].cell
         if len(candidates) >= 2 and self.rng.random() < cfg.crossover_prob:
-            child_a, child_b = crossover(candidates[0].cell, candidates[1].cell, self.rng)
-            ind_a = self.evaluate(child_a)
-            ind_b = self.evaluate(child_b)
-            winner = min((ind_a, ind_b), key=lambda ind: (-ind.score, ind.cell.encode()))
-            parent = winner.cell
-        children = [self.evaluate(self._mutate(parent)) for _ in range(cfg.mutation_times)]
-        best_child = min(children, key=lambda ind: (-ind.score, ind.cell.encode()))
-        self.population.append(best_child)
-        worst = min(self.population, key=lambda ind: (ind.score, ind.birth))
-        self.population.remove(worst)
+            parent = self.best_of(crossover(candidates[0].cell, candidates[1].cell, self.rng))[0]
+        cell, record, score, birth = self.best_of(self._mutate(parent) for _ in range(cfg.mutation_times))
+        population = self.population
+        population.append(Individual(cell, score, record.swap, record.size_mb, record.seed, birth))
+        worst = min(range(len(population)), key=lambda k: (population[k].score, population[k].birth))
+        del population[worst]
         self.cycle += 1
         self.trace.append(self.best().score)
 
@@ -317,9 +333,10 @@ def save_checkpoint(path, state: _SearchState) -> None:
     The file is a ``CHECKPOINT_MAGIC`` line and then one line per save,
     ``<crc32 of body as 8 hex digits> <body>``.  The body is
     ``json.dumps(body, sort_keys=True)`` of the keys below.  It is joined
-    from per-key JSON in sorted-key order: the config's JSON is encoded once
-    per run, each member's and each trace entry's once per run, and only the
-    counters, the bell and the generator state per call.
+    from JSON pieces in sorted-key order: the config's JSON is encoded once
+    per run, each member's and each trace entry's once per run, and the
+    counters and the bell with the generator state as two objects per call,
+    whose members are spliced in without their braces.
 
     The line is appended to the descriptor ``state`` keeps open.  The first
     save of a state (which drops a resumed file's torn tail), a save to
@@ -329,18 +346,18 @@ def save_checkpoint(path, state: _SearchState) -> None:
     torn line.
     """
     state.trace_json += [_encode(score) for score in state.trace[len(state.trace_json):]]
-    pieces = {
-        "config": state.config_json,
-        "cycle": _encode(state.cycle),
-        "evaluations": _encode(state.evaluations),
-        "next_birth": _encode(state.next_birth),
-        "population": "[" + ", ".join(ind.checkpoint_json for ind in state.population) + "]",
-        "reg": _encode(None if state.reg is None else vars(state.reg)),
-        "rng_state": _encode(state.rng.bit_generator.state),
-        "trace": "[" + ", ".join(state.trace_json) + "]",
-    }
-    # Every key is a plain identifier, so its JSON is the key in quotes.
-    body = "{" + ", ".join(f'"{key}": {pieces[key]}' for key in sorted(pieces)) + "}"
+    counters = _encode(
+        {"cycle": state.cycle, "evaluations": state.evaluations, "next_birth": state.next_birth}
+    )
+    generator = _encode({
+        "reg": None if state.reg is None else vars(state.reg),
+        "rng_state": state.rng.bit_generator.state,
+    })
+    population = ", ".join(ind.checkpoint_json for ind in state.population)
+    body = (
+        f'{{"config": {state.config_json}, {counters[1:-1]}, "population": [{population}], '
+        f'{generator[1:-1]}, "trace": [{", ".join(state.trace_json)}]}}'
+    )
     data = body.encode("ascii")
     line = b"%08x %s\n" % (zlib.crc32(data), data)
     opened = state.checkpoint_fd is not None and path == state.checkpoint_path
@@ -518,8 +535,12 @@ def resume_search(
     uninterrupted run because the generator state travels with the
     checkpoint.
     """
+    return _resume(load_checkpoint(checkpoint_path), checkpoint_path, checkpoint_every, on_cycle)
+
+
+def _resume(state: _SearchState, checkpoint_path, checkpoint_every: int, on_cycle) -> SearchResult:
+    """:func:`resume_search` of a state already read by :func:`load_checkpoint`."""
     _check_every(checkpoint_every)
-    state = load_checkpoint(checkpoint_path)
     try:
         return _drive(state, checkpoint_path, checkpoint_every, on_cycle)
     finally:

@@ -449,6 +449,27 @@ class TestSearchCommand:
         assert "cycles=4\n" in resumed.read_text()
         assert resumed.read_bytes() == full.read_bytes()
 
+    def test_a_resume_reads_its_checkpoint_once(self, capsys, tmp_path, monkeypatch):
+        loads = []
+        for module in (cli, evolution):
+            def counted(path, _original=module.load_checkpoint):
+                loads.append(path)
+                return _original(path)
+
+            monkeypatch.setattr(module, "load_checkpoint", counted)
+        ckpt = self.interrupted_checkpoint(tmp_path)
+        same = self.write_config(tmp_path, checkpoint=str(ckpt), resume="true")
+        assert main(["search", "--config", same]) == 0
+        capsys.readouterr()
+        assert loads == [str(ckpt)]
+        # A config that differs is refused after the same one read.
+        loads.clear()
+        changed = self.write_config(tmp_path, checkpoint=str(ckpt), resume="true", cycles=50, population=9)
+        code, out, err = run(capsys, "search", "--config", changed)
+        assert (code, out) == (1, "")
+        assert err == f"error: {changed} differs from checkpoint {ckpt} in: cycles, population\n"
+        assert loads == [str(ckpt)]
+
     def test_resume_skips_a_torn_tail(self, capsys, tmp_path):
         full = {key: tmp_path / f"full.{key}" for key in self.OUTPUTS}
         assert main(["search", "--config", self.write_config(tmp_path, **full)]) == 0

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapnas import evolution
-from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, validate_cell
+from swapnas.cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell
 from swapnas.evolution import (
     CHECKPOINT_MAGIC,
     NoEdgeError,
@@ -183,6 +183,173 @@ class TestCrossover:
         b = random_cell(5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="mismatch"):
             crossover(a, b, np.random.default_rng(0))
+
+
+# The matrix-based operators as they were before candidate moves were tried
+# on row lists; the operators must match them draw for draw.
+def oracle_replace(cell, i, j, code):
+    codes = cell.codes.copy()
+    codes[i, j] = code
+    return CellMatrix(codes)
+
+
+def oracle_mutate_operation(cell, rng):
+    rng = np.random.default_rng(rng)
+    edges = cell.edges()
+    if not edges:
+        raise NoEdgeError("cell has no connection to mutate")
+    i, j, code = edges[rng.integers(len(edges))]
+    choices = [c for c in OP_CODES if c != code]
+    return oracle_replace(cell, i, j, choices[rng.integers(len(choices))])
+
+
+def oracle_mutate_connectivity(cell, rng):
+    rng = np.random.default_rng(rng)
+    edges = cell.edges()
+    if not edges:
+        raise NoEdgeError("cell has no connection to mutate")
+    n = cell.n_nodes
+    holes = [(i, j) for i in range(n) for j in range(i + 1, n) if cell.codes[i, j] == OP_NONE]
+    if not holes:
+        raise SaturationError("cell has no empty slot to move a connection into")
+    moves = [(e, h) for e in range(len(edges)) for h in range(len(holes))]
+    for mi in rng.permutation(len(moves)):
+        (ei, hi) = moves[mi]
+        i, j, code = edges[ei]
+        ti, tj = holes[hi]
+        moved = oracle_replace(oracle_replace(cell, i, j, OP_NONE), ti, tj, code)
+        if not validate_cell(moved):
+            return moved
+    raise SaturationError("every connection move breaks the cell invariants")
+
+
+def oracle_crossover(a, b, rng):
+    if a.n_nodes != b.n_nodes:
+        raise ValueError(f"node-count mismatch: {a.n_nodes} vs {b.n_nodes}")
+    rng = np.random.default_rng(rng)
+    n = a.n_nodes
+    for j in rng.permutation(np.arange(1, n)):
+        ca = a.codes.copy()
+        cb = b.codes.copy()
+        ca[:j, j], cb[:j, j] = b.codes[:j, j].copy(), a.codes[:j, j].copy()
+        child_a, child_b = CellMatrix(ca), CellMatrix(cb)
+        if not validate_cell(child_a) and not validate_cell(child_b):
+            return child_a, child_b
+    return a, b
+
+
+@st.composite
+def operator_cells(draw, n=None):
+    """A valid random cell, a saturated one (every slot wired) or one without edges."""
+    n = draw(st.integers(2, 6)) if n is None else n
+    kind = draw(st.sampled_from(["random", "random", "random", "saturated", "no-edge"]))
+    if kind == "random":
+        return random_cell(n, draw(st.integers(0, 2**32 - 1)))
+    codes = np.zeros((n, n), dtype=np.int64)
+    if kind == "saturated":
+        for i in range(n):
+            for j in range(i + 1, n):
+                codes[i, j] = draw(st.sampled_from(OP_CODES))
+    return CellMatrix(codes)
+
+
+@st.composite
+def parent_pairs(draw):
+    """Two parents of one size, identical parents, or parents of any sizes."""
+    a = draw(operator_cells())
+    kind = draw(st.sampled_from(["same-size", "identical", "any-size"]))
+    if kind == "identical":
+        return a, CellMatrix(a.codes)
+    return a, draw(operator_cells(a.n_nodes if kind == "same-size" else None))
+
+
+def outcome(operator, *args):
+    """What ``operator(*args, rng)`` returns or raises, and the generator's state after."""
+    *cells, seed = args
+    rng = np.random.default_rng(seed)
+    try:
+        result = operator(*cells, rng)
+    except ValueError as exc:
+        result = (type(exc), str(exc))
+    return result, rng.bit_generator.state
+
+
+class TestOperatorsMatchTheMatrixOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(cell=operator_cells(), seed=st.integers(0, 2**32 - 1))
+    def test_mutations(self, cell, seed):
+        assert outcome(mutate_operation, cell, seed) == outcome(oracle_mutate_operation, cell, seed)
+        assert outcome(mutate_connectivity, cell, seed) == outcome(oracle_mutate_connectivity, cell, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parents=parent_pairs(), seed=st.integers(0, 2**32 - 1))
+    def test_crossover(self, parents, seed):
+        assert outcome(crossover, *parents, seed) == outcome(oracle_crossover, *parents, seed)
+
+
+def built_cells(operator, *args):
+    """The cells constructed while ``operator(*args)`` runs, and what it returns (None if it raises)."""
+    built = []
+    original = CellMatrix._fill
+
+    def filled(cell, *rest):
+        built.append(cell)
+        return original(cell, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CellMatrix, "_fill", filled)
+        try:
+            result = operator(*args)
+        except ValueError:
+            result = None
+    return built, result
+
+
+class TestWorkPerCycle:
+    """Counts of the objects the search builds, with no clocks."""
+
+    def test_a_cycle_builds_one_individual_and_uses_up_every_birth(self, monkeypatch):
+        cfg = small_config(cycles=20, seed=4)
+        state = _SearchState(cfg)
+        state.initialise()
+        built = []
+
+        def counted(*args, _original=evolution.Individual):
+            built.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(evolution, "Individual", counted)
+        births = set()
+        for _ in range(cfg.cycles):
+            before = (len(built), state.next_birth)
+            state.run_cycle()
+            assert len(built) == before[0] + 1
+            births.add(state.next_birth - before[1])
+        # Every mutant, and both crossover children, take a birth number.
+        assert births == {cfg.mutation_times, cfg.mutation_times + 2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell=operator_cells(), seed=st.integers(0, 2**32 - 1))
+    def test_mutations_build_only_the_cell_they_return(self, cell, seed):
+        for operator in (mutate_operation, mutate_connectivity):
+            built, result = built_cells(operator, cell, np.random.default_rng(seed))
+            assert [id(c) for c in built] == ([] if result is None else [id(result)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(parents=parent_pairs(), seed=st.integers(0, 2**32 - 1))
+    def test_crossover_builds_only_the_children_it_returns(self, parents, seed):
+        built, result = built_cells(crossover, *parents, np.random.default_rng(seed))
+        new = [] if result is None else [c for c in result if all(c is not p for p in parents)]
+        assert [id(c) for c in built] == [id(c) for c in new]
+
+    def test_edges_are_a_new_list_each_call(self):
+        cell = CellMatrix([[0, 1, 0, 2], [0, 0, 4, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+        edges = cell.edges()
+        assert edges == [(0, 1, 1), (0, 3, 2), (1, 2, 4), (2, 3, 1)]
+        edges[0] = (0, 2, 3)
+        edges.append((1, 3, 2))
+        assert cell.edges() == [(0, 1, 1), (0, 3, 2), (1, 2, 4), (2, 3, 1)]
+        assert cell.edges() is not cell.edges()
 
 
 class TestSearchLoop:
