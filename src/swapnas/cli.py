@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .evolution import SearchConfig, _resume, config_differences, load_checkpoint, run_search
 from .metric import RegularisationParams
-from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_and_capture
+from .scoring import DEFAULT_BATCH, derive_seed, run_batch, score_and_capture
 
 # Every validation error of the library, and UsageError below, is a ValueError.
 _VALIDATION_ERRORS = (FileNotFoundError, IsADirectoryError, ValueError)
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_score(args) -> int:
     cell = read_cell_file(args.cell)
-    batch = make_batch(args.batch, derive_seed(args.seed, BATCH_SALT))
+    batch = run_batch(args.batch, args.seed)
     seed = derive_seed(args.seed, cell.stable_hash())
     # Flag errors are raised before the cell is scored.
     assembly, reg = _assembly_from_args(args), _reg_from_args(args)

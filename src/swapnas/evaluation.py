@@ -27,7 +27,7 @@ from .metric import (
     standard_pattern_cardinality,
 )
 from .network import gaussian_batch
-from .scoring import BATCH_SALT, derive_seed, make_batch, score_and_capture, score_cell
+from .scoring import BATCH_SALT, derive_seed, run_batch, score_and_capture, score_cell
 
 TABLE_COLUMNS = ("arch_id", "cell", "accuracy")
 SCORE_COLUMNS = ("arch_id", "seed", "batch", "swap", "reg_swap", "size_mb", "flops")
@@ -376,7 +376,7 @@ def score_table(
     for seed in range(n_seeds):
         group = table.entries[seed::n_seeds]
         if group:
-            batch = make_batch(batch_spec, derive_seed(seed, BATCH_SALT))
+            batch = run_batch(batch_spec, seed)
             jobs.extend((entry, seed, batch) for entry in group)
 
     def score(job) -> ScoreRecord:

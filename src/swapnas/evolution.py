@@ -32,7 +32,7 @@ import numpy as np
 from .cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell, validate_rows
 from .evaluation import estimate_mu_sigma, replace_file, write_all
 from .metric import RegularisationParams, ScoreRecord, regularised_swap_score
-from .scoring import BATCH_SALT, DEFAULT_BATCH, derive_seed, make_batch, score_cell
+from .scoring import DEFAULT_BATCH, derive_seed, run_batch, score_cell
 
 CHECKPOINT_MAGIC = "SWAPCKPT 4"
 # A save that finds this many checkpoint lines in the run's file starts a new file.
@@ -188,11 +188,6 @@ class SearchResult:
     reg: RegularisationParams | None
 
 
-def batch_for_config(cfg: SearchConfig):
-    """The one input batch shared by every evaluation of a run."""
-    return make_batch(cfg.batch, derive_seed(cfg.seed, BATCH_SALT))
-
-
 class _SearchState:
     """Mutable run state; checkpointable between cycles."""
 
@@ -205,7 +200,7 @@ class _SearchState:
         self.evaluations = 0
         self.next_birth = 0
         self.reg: RegularisationParams | None = None
-        self.batch = batch_for_config(cfg)
+        self.batch = run_batch(cfg.batch, cfg.seed)
         # The config never changes during a run; checkpoints splice in its JSON.
         self.config_json = json.dumps(asdict(cfg), sort_keys=True)
         # Keyed on the cell itself, not its 64-bit digest, so a hit is exact.
@@ -487,9 +482,11 @@ def load_checkpoint(path) -> _SearchState:
     return state
 
 
-def _check_every(checkpoint_every: int) -> None:
+def _check_every(checkpoint_every: int, checkpoint_path) -> None:
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
+    if checkpoint_every != 1 and not checkpoint_path:
+        raise ValueError(f"checkpoint_every={checkpoint_every} has no effect without a checkpoint_path")
 
 
 def _drive(state: _SearchState, checkpoint_path, checkpoint_every, on_cycle) -> SearchResult:
@@ -512,7 +509,7 @@ def run_search(
     on_cycle=None,
 ) -> SearchResult:
     """Run the full search loop; identical config and seed give identical results."""
-    _check_every(checkpoint_every)
+    _check_every(checkpoint_every, checkpoint_path)
     state = _SearchState(cfg)
     try:
         state.initialise()
@@ -540,7 +537,7 @@ def resume_search(
 
 def _resume(state: _SearchState, checkpoint_path, checkpoint_every: int, on_cycle) -> SearchResult:
     """:func:`resume_search` of a state already read by :func:`load_checkpoint`."""
-    _check_every(checkpoint_every)
+    _check_every(checkpoint_every, checkpoint_path)
     try:
         return _drive(state, checkpoint_path, checkpoint_every, on_cycle)
     finally:

@@ -8,10 +8,10 @@ pass each node only computes its output; a dense layer's output is an
 takes the same step: an optional per-channel batch standardisation, the
 bit ``value > 0`` of every value packed into the capture, and the ReLU.
 Raw activations are dropped as soon as their last consumer has run.  The
-standardisation emulates normalisation layers at initialisation, so the
-scorer takes it from ``AssemblyConfig.standardise``; ``forward_capture``
-takes it as its own keyword.  It must be switched off when testing the
-positive-scale sign invariance of plain convolution chains.
+standardisation emulates normalisation layers at initialisation, so it is part
+of the network (``NetworkInstance.standardise``, set by :func:`build_network`),
+and a capture depends only on (network, batch).  It must be switched off when
+testing the positive-scale sign invariance of plain convolution chains.
 """
 
 from __future__ import annotations
@@ -119,12 +119,13 @@ def read_tensor_file(path) -> InputBatch:
 
 @dataclass(frozen=True)
 class NetworkInstance:
-    """Immutable assembled network: node graph plus seeded random weights."""
+    """Immutable assembled network: node graph, seeded random weights and its standardise switch."""
 
     nodes: tuple[NodeSpec, ...]
     weights: tuple[np.ndarray | None, ...]
     seed: int
     in_channels: int
+    standardise: bool = True
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.weights):
@@ -142,7 +143,7 @@ class NetworkInstance:
 
 
 def network_from_nodes(
-    nodes: tuple[NodeSpec, ...], seed: int, in_channels: int
+    nodes: tuple[NodeSpec, ...], seed: int, in_channels: int, standardise: bool = True
 ) -> NetworkInstance:
     """Attach deterministic weights to a node graph.
 
@@ -155,7 +156,7 @@ def network_from_nodes(
     for shape in trace_graph(nodes, (in_channels,)).weight_shapes:
         fan_in = math.prod(shape[1:])
         weights.append(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in) if shape else None)
-    return NetworkInstance(tuple(nodes), tuple(weights), seed, in_channels)
+    return NetworkInstance(tuple(nodes), tuple(weights), seed, in_channels, standardise)
 
 
 def build_network(
@@ -165,7 +166,8 @@ def build_network(
     in_channels: int = 3,
 ) -> NetworkInstance:
     """Assemble a cell stack and give it seeded random weights."""
-    return network_from_nodes(assemble_descriptor(cell, assembly, in_channels), seed, in_channels)
+    nodes = assemble_descriptor(cell, assembly, in_channels)
+    return network_from_nodes(nodes, seed, in_channels, assembly.standardise)
 
 
 def build_mlp(
@@ -291,8 +293,8 @@ def _avg_pool(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _standardise(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """``(y - y.mean(axes)) / np.sqrt(y.var(axes) + eps)``, in ``y``'s layout.
+def _standardise(y: np.ndarray) -> np.ndarray:
+    """``(y - y.mean(axes)) / np.sqrt(y.var(axes) + eps)`` over axes (0, 2, 3), in ``y``'s layout.
 
     These are the float operations numpy's ``mean`` and ``var`` run (a sum,
     a division by the count, a subtraction, a square, a sum and a division
@@ -309,45 +311,48 @@ def _standardise(y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     which einsum does not, so one channel and every other layout (a scored
     skip on the NCHW batch) take ``np.add.reduce``.
     """
-    n = math.prod(y.shape[a] for a in axes)
     c = y.shape[1]
+    n = y.size // c
     nhwc = y.transpose(0, 2, 3, 1)
-    einsum = axes == (0, 2, 3) and c >= 2 and nhwc.flags.c_contiguous
+    einsum = c >= 2 and nhwc.flags.c_contiguous
     if einsum:
         mean = np.einsum("ij->j", nhwc.reshape(-1, c)).reshape(c, 1, 1)
     else:
-        mean = np.add.reduce(y, axes, keepdims=True)
+        mean = np.add.reduce(y, (0, 2, 3), keepdims=True)
     mean /= n
     out = y - mean
     if einsum:
         centred = out.transpose(0, 2, 3, 1).reshape(-1, c)  # a view: ``out`` keeps ``y``'s layout
         var = np.einsum("ij,ij->j", centred, centred).reshape(c, 1, 1)
     else:
-        var = np.add.reduce(out * out, axes, keepdims=True)
+        var = np.add.reduce(out * out, (0, 2, 3), keepdims=True)
     var /= n
     out /= np.sqrt(var + _STANDARDISE_EPS)
     return out
 
 
-def forward_capture(
-    net: NetworkInstance,
-    batch: InputBatch,
-    standardise: bool = True,
-) -> ActivationCapture:
+def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCapture:
     """Run the batch through the network, recording only activation bits.
 
     The capture has one row per value that feeds a ReLU (scored convs give
     channels times output area, scored dense layers their units) and one
     column per sample; raw activations are freed as soon as every consumer
-    has used them.  With ``standardise`` enabled, each scored layer's
-    pre-activations are shifted and scaled per channel to batch mean 0 and
-    variance ~1 before the ReLU, which changes the recorded signs.
+    has used them.  If ``net.standardise`` is set (a network built from an
+    assembly carries the assembly's), each scored layer's pre-activations
+    are shifted and scaled per channel to batch mean 0 and variance ~1
+    before the ReLU, which changes the recorded signs.  Every weight must
+    have the shape :func:`swapnas.cells.trace_graph` gives its node.
     """
     if batch.channels != net.in_channels:
         raise ShapeError(
             f"batch has {batch.channels} channels but the network stem expects {net.in_channels}"
         )
-    consumers = list(trace_graph(net.nodes, batch.dims).consumers)  # rejects bad geometry before any compute
+    trace = trace_graph(net.nodes, batch.dims)  # rejects bad geometry before any compute
+    for node, w, shape in zip(net.nodes, net.weights, trace.weight_shapes):
+        got, want = (None if w is None else w.shape), (shape or None)
+        if got != want:
+            raise AssemblyError(f"node {node.name} has weight shape {got}, but its graph gives {want}")
+    consumers = list(trace.consumers)
     n_samples = batch.n_samples
     blocks = [np.zeros((0, (n_samples + 7) // 8), dtype=np.uint8)]
     values: dict[int, np.ndarray] = {}
@@ -370,8 +375,8 @@ def forward_capture(
             else:  # dense; trace_graph has rejected every other kind
                 out = (x.reshape(n_samples, -1) @ net.weights[idx].T).reshape(n_samples, -1, 1, 1)
             if node.scored:
-                if standardise:
-                    out = _standardise(out, (0, 2, 3))
+                if net.standardise:
+                    out = _standardise(out)
                 # One copy of the bits, straight into (value, sample) order.
                 blocks.append(pack_bit_rows((out > 0).transpose(1, 2, 3, 0).reshape(-1, n_samples)))
                 if out is values[node.inputs[0]]:  # a scored skip's input: not ours to overwrite

@@ -50,6 +50,11 @@ def make_batch(spec: str, seed: int) -> InputBatch:
     return read_tensor_file(detail)
 
 
+def run_batch(spec: str, global_seed: int) -> InputBatch:
+    """The one input batch a run with this global seed scores every cell on."""
+    return make_batch(spec, derive_seed(global_seed, BATCH_SALT))
+
+
 def score_and_capture(
     cell: CellMatrix,
     assembly: AssemblyConfig,
@@ -65,7 +70,7 @@ def score_and_capture(
     ``batch`` labels are left empty for the caller to set.
     """
     net = build_network(cell, assembly, weight_seed, in_channels=batch.channels)
-    capture = forward_capture(net, batch, standardise=assembly.standardise)
+    capture = forward_capture(net, batch)
     raw = swap_score(capture)
     trace = trace_graph(net.nodes, batch.dims)
     return ScoreRecord(

@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from swapnas.cells import (
     validate_cell,
 )
 from swapnas.evaluation import estimate_mu_sigma, mu_sigma_sweep, spearman_rho
-from swapnas.evolution import SearchConfig, batch_for_config, run_search
+from swapnas.evolution import SearchConfig, run_search
 from swapnas.metric import (
     ActivationCapture,
     RegularisationParams,
@@ -34,13 +35,8 @@ from swapnas.metric import (
     standard_pattern_cardinality,
     swap_score,
 )
-from swapnas.network import (
-    NetworkInstance,
-    build_network,
-    forward_capture,
-    gaussian_batch,
-)
-from swapnas.scoring import derive_seed
+from swapnas.network import build_network, forward_capture, gaussian_batch
+from swapnas.scoring import derive_seed, run_batch
 
 from synth_fixtures import SIZE_BIASED_GRID, size_biased_records
 
@@ -84,7 +80,7 @@ def test_criterion_02_bounds_and_transpose_duality():
         dims = (int(rng.integers(1, 4)), int(rng.integers(4, 9)), int(rng.integers(4, 9)))
         batch = gaussian_batch(s, dims, seed=int(rng.integers(1 << 30)))
         net = build_network(cell, assembly, int(rng.integers(1 << 30)), dims[0])
-        capture = forward_capture(net, batch, standardise=bool(rng.integers(2)))
+        capture = forward_capture(replace(net, standardise=bool(rng.integers(2))), batch)
         v = capture.n_values
         standard = standard_pattern_cardinality(capture)
         sample_wise = swap_score(capture)
@@ -172,7 +168,7 @@ def test_criterion_04_regularisation_function_properties():
 
 def test_criterion_05_positive_scale_invariance():
     rng = np.random.default_rng(5)
-    assembly = AssemblyConfig(depth=2, stem_channels=4)
+    assembly = AssemblyConfig(depth=2, stem_channels=4, standardise=False)
     batch = gaussian_batch(8, (3, 8, 8), seed=50)
     for _ in range(50):
         cell = random_cell(4, rng)
@@ -180,9 +176,9 @@ def test_criterion_05_positive_scale_invariance():
         stem = next(i for i, n in enumerate(net.nodes) if n.name == "stem")
         weights = list(net.weights)
         weights[stem] = weights[stem] * 10.0
-        scaled = NetworkInstance(net.nodes, tuple(weights), net.seed, net.in_channels)
-        plain_capture = forward_capture(net, batch, standardise=False)
-        scaled_capture = forward_capture(scaled, batch, standardise=False)
+        scaled = replace(net, weights=tuple(weights))
+        plain_capture = forward_capture(net, batch)
+        scaled_capture = forward_capture(scaled, batch)
         assert np.array_equal(plain_capture.packed_rows, scaled_capture.packed_rows)
         assert standard_pattern_cardinality(plain_capture) == standard_pattern_cardinality(
             scaled_capture
@@ -238,7 +234,7 @@ def test_criterion_06_evolution_correctness():
             population=10, cycles=40, mutation_times=4, reg=params, seed=seed,
             batch="gauss:16x3x6x6", nodes=3, assembly=assembly,
         )
-        batch = batch_for_config(cfg)
+        batch = run_batch(cfg.batch, cfg.seed)
         from swapnas.scoring import score_cell
 
         oracle_best = max(

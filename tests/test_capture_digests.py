@@ -12,6 +12,7 @@ numpy flags a conv's NHWC-strided output as Fortran-contiguous.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,9 +176,9 @@ def _digest(*arrays) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_capture_and_weight_digests(name, standardise):
     make_net, dims = CASES[name]
-    net = make_net()
+    net = replace(make_net(), standardise=standardise)
     batch = gaussian_batch(N_SAMPLES.get(name, 11), dims, seed=20)
-    capture = forward_capture(net, batch, standardise=standardise)
+    capture = forward_capture(net, batch)
     got = (_digest(capture.packed_rows), _digest(*net.weights))
     assert got == EXPECTED[name, standardise]
 

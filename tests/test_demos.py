@@ -1,9 +1,11 @@
-"""Each demo runs to completion, and its swapnas imports stay valid.
+"""Each demo and README's library quick start run to completion, and the
+demos' swapnas imports stay valid.
 
-Every ``demos/*.py`` runs in a subprocess with one BLAS thread and the
-test's tmp dir as ``TMPDIR``, and must exit 0.  ``score_a_cell.py`` asserts
-its own invariants; ``evolutionary_search.py`` must also report an exact
-resume.  The four demos take a few seconds together.
+Every ``demos/*.py``, and the quick start's code block, runs in a
+subprocess with one BLAS thread and the test's tmp dir as ``TMPDIR``, and
+must exit 0.  ``score_a_cell.py`` asserts its own invariants;
+``evolutionary_search.py`` must also report an exact resume.  The four
+demos take a few seconds together, the quick start under one.
 """
 
 import ast
@@ -48,13 +50,26 @@ def test_demo_imports_exist(path):
             assert hasattr(mod, name), f"{path.name} imports missing {module}.{name}"
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(path, tmp_path):
+def run_python(args, tmp_path):
+    """Run the interpreter on ``args`` in ``tmp_path``, with one BLAS thread and this checkout's ``src``."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "TMPDIR": str(tmp_path), "PYTHONPATH": pythonpath}
     proc = subprocess.run(
-        [sys.executable, str(path)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    proc = run_python([str(path)], tmp_path)
     if path.name in REQUIRED_LINES:
         assert REQUIRED_LINES[path.name] in proc.stdout.splitlines()
+
+
+def test_readme_quick_start_runs(tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "forward_capture(net, batch)" in code
+    run_python(["-c", code], tmp_path)

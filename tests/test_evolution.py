@@ -24,7 +24,6 @@ from swapnas.evolution import (
     SearchConfig,
     _config_from_dict,
     _SearchState,
-    batch_for_config,
     crossover,
     load_checkpoint,
     mutate_connectivity,
@@ -34,7 +33,7 @@ from swapnas.evolution import (
     save_checkpoint,
 )
 from swapnas.metric import RegularisationParams
-from swapnas.scoring import derive_seed, score_cell
+from swapnas.scoring import derive_seed, run_batch, score_cell
 
 SMALL_ASSEMBLY = AssemblyConfig(depth=1, stem_channels=4)
 SMALL_BATCH = "gauss:8x3x6x6"
@@ -384,7 +383,7 @@ class TestSearchLoop:
         again = score_cell(
             best.cell,
             cfg.assembly,
-            batch_for_config(cfg),
+            run_batch(cfg.batch, cfg.seed),
             derive_seed(cfg.seed, best.cell.stable_hash()),
         ).regularised(result.reg)
         assert again.reg_swap == best.score
@@ -485,6 +484,12 @@ class TestCheckpointing:
         run_search(small_config(cycles=1), checkpoint_path=path)
         with pytest.raises(ValueError, match="checkpoint_every"):
             resume_search(path, checkpoint_every=every)
+
+    @pytest.mark.parametrize("path", [None, ""])
+    def test_checkpoint_every_without_a_checkpoint_path_rejected(self, path):
+        with pytest.raises(ValueError, match="checkpoint_every=5 has no effect without a checkpoint_path"):
+            run_search(small_config(cycles=1), checkpoint_path=path, checkpoint_every=5)
+        assert run_search(small_config(cycles=1), checkpoint_path=path, checkpoint_every=1).evaluations > 0
 
     @settings(max_examples=25, deadline=None)
     @given(

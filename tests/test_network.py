@@ -3,6 +3,7 @@
 import os
 import re
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ ALL_SKIP = CellMatrix(
 )
 
 
-def conv_chain(specs, seed=0, in_channels=3):
+def conv_chain(specs, seed=0, in_channels=3, standardise=True):
     """Build a plain conv chain from (channels, kernel, stride, padding) tuples."""
     nodes = [NodeSpec("input", "input")]
     for li, (c, k, t, p) in enumerate(specs):
@@ -71,7 +72,7 @@ def conv_chain(specs, seed=0, in_channels=3):
                 channels_out=c, kernel=k, stride=t, padding=p, scored=True,
             )
         )
-    return network_from_nodes(tuple(nodes), seed, in_channels)
+    return network_from_nodes(tuple(nodes), seed, in_channels, standardise)
 
 
 class TestInputBatch:
@@ -269,28 +270,20 @@ class TestForwardCapture:
     def test_zero_weights_give_all_zero_bits(self):
         cfg = AssemblyConfig(depth=1, stem_channels=4)
         net = build_network(CELL, cfg, seed=0)
-        zeroed = NetworkInstance(
-            net.nodes,
-            tuple(None if w is None else np.zeros_like(w) for w in net.weights),
-            net.seed,
-            net.in_channels,
-        )
+        zeroed = replace(net, weights=tuple(None if w is None else np.zeros_like(w) for w in net.weights))
         batch = gaussian_batch(5, (3, 6, 6), seed=1)
         for standardise in (False, True):
-            cap = forward_capture(zeroed, batch, standardise=standardise)
+            cap = forward_capture(replace(zeroed, standardise=standardise), batch)
             assert not cap.bits().any()
 
     def test_tiny_positive_pre_activation_records_bit_one(self):
         # The capture's rule is ``value > 0``, with no epsilon threshold.
         net = build_mlp(1, [1], seed=0)
-        ones = NetworkInstance(
-            net.nodes,
-            tuple(None if w is None else np.ones_like(w) for w in net.weights),
-            net.seed,
-            net.in_channels,
+        ones = replace(
+            net, weights=tuple(None if w is None else np.ones_like(w) for w in net.weights), standardise=False
         )
         batch = InputBatch(np.array([1e-300, 0.0, -1e-300]).reshape(3, 1, 1, 1))
-        assert forward_capture(ones, batch, standardise=False).bits().tolist() == [[1, 0, 0]]
+        assert forward_capture(ones, batch).bits().tolist() == [[1, 0, 0]]
 
     def test_identical_samples_make_constant_rows(self):
         cfg = AssemblyConfig(depth=1, stem_channels=4)
@@ -324,6 +317,34 @@ class TestForwardCapture:
         with pytest.raises(ShapeError, match="channels"):
             forward_capture(net, gaussian_batch(2, (1, 5, 5), seed=0))
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 2, 3, 3), (4, 3, 5, 5), (5, 3, 3, 3), None],
+        ids=["fewer-input-channels", "larger-kernel", "more-outputs", "missing"],
+    )
+    def test_weights_must_have_the_shapes_of_the_graph(self, shape):
+        # The conv's own fields fix its weight shape; weights of any other
+        # shape would run a network other than the one the graph describes.
+        nodes = (
+            NodeSpec("input", "input"),
+            NodeSpec("conv", "conv", (0,), channels_out=4, kernel=3, padding=1, scored=True),
+        )
+        batch = gaussian_batch(4, (3, 6, 6), seed=0)
+        assert forward_capture(network_from_nodes(nodes, 0, 3), batch).n_values == 144
+        weights = (None, None if shape is None else np.ones(shape))
+        net = NetworkInstance(nodes, weights, seed=0, in_channels=3)
+        message = f"node conv has weight shape {shape}, but its graph gives (4, 3, 3, 3)"
+        with pytest.raises(AssemblyError) as caught:
+            forward_capture(net, batch)
+        assert str(caught.value) == message
+
+    def test_a_weight_on_a_node_without_weights_is_rejected(self):
+        nodes = (NodeSpec("input", "input"), NodeSpec("relu", "skip", (0,), scored=True))
+        net = NetworkInstance(nodes, (None, np.ones(3)), seed=0, in_channels=3)
+        with pytest.raises(AssemblyError) as caught:
+            forward_capture(net, gaussian_batch(2, (3, 4, 4), seed=0))
+        assert str(caught.value) == "node relu has weight shape (3,), but its graph gives None"
+
     def test_scored_skip_leaves_its_input_untouched(self):
         # Without standardisation a scored skip's output is its input's own
         # array, so its ReLU must not run in place: not on the read-only
@@ -338,19 +359,18 @@ class TestForwardCapture:
         )
         batch = gaussian_batch(4, (2, 5, 5), seed=3)
         before = batch.data.copy()
-        cap = forward_capture(network_from_nodes(nodes, 4, 2), batch, standardise=False)
+        cap = forward_capture(network_from_nodes(nodes, 4, 2, standardise=False), batch)
         assert batch.data.tobytes() == before.tobytes()
         # Skips draw no weights, so dropping one keeps the convs' weights.
-        alone = forward_capture(network_from_nodes(nodes[:3] + (after,), 4, 2), batch, standardise=False)
+        alone = forward_capture(network_from_nodes(nodes[:3] + (after,), 4, 2, standardise=False), batch)
         assert cap.n_values == 50 + 75 + 50
         assert np.array_equal(cap.bits()[-50:], alone.bits()[-50:])
 
     def test_overflow_identifies_the_layer(self):
-        net = conv_chain([(4, 3, 1, 1), (4, 3, 1, 1)], in_channels=3)
-        huge = tuple(None if w is None else w * 1e200 for w in net.weights)
-        broken = NetworkInstance(net.nodes, huge, net.seed, net.in_channels)
+        net = conv_chain([(4, 3, 1, 1), (4, 3, 1, 1)], in_channels=3, standardise=False)
+        broken = replace(net, weights=tuple(None if w is None else w * 1e200 for w in net.weights))
         with pytest.raises(NumericOverflowError, match="conv1"):
-            forward_capture(broken, gaussian_batch(2, (3, 6, 6), seed=1), standardise=False)
+            forward_capture(broken, gaussian_batch(2, (3, 6, 6), seed=1))
 
 
 def np_pad(x, padding):
@@ -533,7 +553,7 @@ class TestStandardise:
         # The one-mean form rests on the float operations numpy's mean and
         # var run, so a numpy upgrade that changes them fails here.
         want = mean_var_standardise(y)
-        got = _standardise(y, (0, 2, 3))
+        got = _standardise(y)
         assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
 
@@ -569,7 +589,7 @@ class TestStandardiseAtScale:
         # The einsum sums give numpy's bytes only while both add each
         # channel row by row; many rows and wide channel rows check that.
         want = mean_var_standardise(y)
-        got = _standardise(y, (0, 2, 3))
+        got = _standardise(y)
         assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
 
@@ -646,7 +666,7 @@ def place_value_pack(bits):
     return (padded.reshape(v, -1, 8) << np.arange(7, -1, -1)).sum(axis=2).astype(np.uint8)
 
 
-def reference_capture(net, batch, standardise):
+def reference_capture(net, batch):
     """The capturing forward pass rebuilt from the oracles of this file.
 
     Every node's output is a new array that is kept to the end, so no fast
@@ -671,7 +691,7 @@ def reference_capture(net, batch, standardise):
         else:
             out = (x.reshape(n, -1) @ w.T).reshape(n, -1, 1, 1)
         if node.scored:
-            if standardise:
+            if net.standardise:
                 out = mean_var_standardise(out)
             rows.append((out > 0).transpose(1, 2, 3, 0).reshape(-1, n))
             out = np.maximum(out, 0.0)
@@ -710,30 +730,34 @@ class TestReferencePipeline:
     @given(cells_with_batches(), st.booleans())
     def test_capture_matches_the_reference_pass(self, case, standardise):
         net, batch = case
-        got = forward_capture(net, batch, standardise=standardise).packed_rows
-        want = reference_capture(net, batch, standardise)
+        net = replace(net, standardise=standardise)
+        got = forward_capture(net, batch).packed_rows
+        want = reference_capture(net, batch)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "make_net, dims, n_samples, standardise, blocked",
+        "make_net, dims, n_samples, blocked",
         [
-            (lambda: build_network(FULL_CELL, nb201_like_assembly(), 31, 3), (3, 32, 32), 3, True, True),
+            (lambda: build_network(FULL_CELL, nb201_like_assembly(), 31, 3), (3, 32, 32), 3, True),
             (
                 lambda: build_network(
-                    FULL_CELL, AssemblyConfig(depth=2, stem_channels=8, reductions=(1,), head=True), 32, 3
+                    FULL_CELL,
+                    AssemblyConfig(depth=2, stem_channels=8, reductions=(1,), head=True, standardise=False),
+                    32,
+                    3,
                 ),
-                (3, 24, 20), 17, False, True,
+                (3, 24, 20), 17, True,
             ),
-            (lambda: network_from_nodes(SCORED_SKIPS, 33, 2), (2, 5, 4), 9, False, False),
+            (lambda: network_from_nodes(SCORED_SKIPS, 33, 2, standardise=False), (2, 5, 4), 9, False),
         ],
         ids=["nb201-32x32", "reduction-head-24x20", "scored-skips"],
     )
-    def test_fixed_graphs_match_the_reference_pass(self, make_net, dims, n_samples, standardise, blocked):
+    def test_fixed_graphs_match_the_reference_pass(self, make_net, dims, n_samples, blocked):
         net, batch = make_net(), gaussian_batch(n_samples, dims, seed=34)
         assert splits_a_conv(net, batch) == blocked
-        got = forward_capture(net, batch, standardise=standardise).packed_rows
-        assert got.tobytes() == reference_capture(net, batch, standardise).tobytes()
+        got = forward_capture(net, batch).packed_rows
+        assert got.tobytes() == reference_capture(net, batch).tobytes()
 
 
 class TestGraphTrace:
@@ -744,7 +768,7 @@ class TestGraphTrace:
         trace = trace_graph(net.nodes, batch.dims)
         assert trace.parameters == sum(w.size for w in net.weights if w is not None)
         scored = sum(c * w * h for node, (c, w, h) in zip(net.nodes, trace.shapes) if node.scored)
-        assert scored == forward_capture(net, batch, standardise=False).n_values
+        assert scored == forward_capture(replace(net, standardise=False), batch).n_values
         readers = [i for node in net.nodes for i in node.inputs]
         assert trace.consumers == tuple(readers.count(k) for k in range(len(net.nodes)))
         bare = trace_graph(net.nodes, (batch.channels,))
@@ -758,28 +782,28 @@ class TestScaleInvariance:
         weights = list(net.weights)
         idx = next(i for i, n in enumerate(net.nodes) if n.name == name)
         weights[idx] = weights[idx] * factor
-        return NetworkInstance(net.nodes, tuple(weights), net.seed, net.in_channels)
+        return replace(net, weights=tuple(weights))
 
     def test_scaling_the_stem_preserves_bits_on_random_cells(self):
         rng = np.random.default_rng(20)
-        cfg = AssemblyConfig(depth=2, stem_channels=4)
+        cfg = AssemblyConfig(depth=2, stem_channels=4, standardise=False)
         batch = gaussian_batch(6, (3, 6, 6), seed=21)
         for _ in range(10):
             cell = random_cell(4, rng)
             net = build_network(cell, cfg, seed=int(rng.integers(1 << 30)))
             scaled = self.scale_node(net, "stem", 10.0)
-            a = forward_capture(net, batch, standardise=False)
-            b = forward_capture(scaled, batch, standardise=False)
+            a = forward_capture(net, batch)
+            b = forward_capture(scaled, batch)
             assert np.array_equal(a.packed_rows, b.packed_rows)
 
     def test_scaling_any_layer_preserves_bits_on_chains(self):
         rng = np.random.default_rng(22)
         batch = gaussian_batch(5, (2, 8, 8), seed=23)
-        net = conv_chain([(3, 3, 1, 1), (4, 3, 2, 1), (5, 1, 1, 0)], seed=24, in_channels=2)
+        net = conv_chain([(3, 3, 1, 1), (4, 3, 2, 1), (5, 1, 1, 0)], seed=24, in_channels=2, standardise=False)
         for li in range(3):
             scaled = self.scale_node(net, f"conv{li}", 10.0)
-            a = forward_capture(net, batch, standardise=False)
-            b = forward_capture(scaled, batch, standardise=False)
+            a = forward_capture(net, batch)
+            b = forward_capture(scaled, batch)
             assert np.array_equal(a.packed_rows, b.packed_rows)
             assert swap_score(a) == swap_score(b)
 
@@ -792,9 +816,10 @@ class TestScaleInvariance:
         # summed edges of a cell in proportion; scaling one interior conv
         # would not.
         net, batch = case
+        net = replace(net, standardise=False)
         scaled = InputBatch(batch.data * 2.0**k)
-        a = forward_capture(net, batch, standardise=False)
-        b = forward_capture(net, scaled, standardise=False)
+        a = forward_capture(net, batch)
+        b = forward_capture(net, scaled)
         assert a.packed_rows.shape == b.packed_rows.shape
         assert a.packed_rows.tobytes() == b.packed_rows.tobytes()
 
@@ -804,8 +829,8 @@ class TestScaleInvariance:
         # guards the toggle wiring rather than a mathematical property.
         net = conv_chain([(3, 3, 1, 1)], seed=25, in_channels=2)
         batch = gaussian_batch(5, (2, 6, 6), seed=26)
-        a = forward_capture(net, batch, standardise=True)
-        b = forward_capture(net, batch, standardise=False)
+        a = forward_capture(net, batch)
+        b = forward_capture(replace(net, standardise=False), batch)
         assert a.n_values == b.n_values
 
 

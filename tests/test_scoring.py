@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swapnas.cells
 import swapnas.network
@@ -123,8 +125,38 @@ class TestScoreCell:
             assert record == score_cell(cell, cfg, batch, 3)
             assert record.size_mb == params_to_megabytes(count_parameters(cell, cfg))
             assert record.flops == count_flops(cell, cfg, batch.dims)
-            expected = forward_capture(build_network(cell, cfg, 3), batch, standardise=False)
+            expected = forward_capture(build_network(cell, cfg, 3), batch)
             assert np.array_equal(capture.packed_rows, expected.packed_rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_nodes=st.integers(2, 5),
+        cell_seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 3),
+        data=st.data(),
+        weight_seed=st.integers(0, 2**32 - 1),
+        channels=st.integers(1, 3),
+    )
+    def test_library_path_captures_what_the_scorer_captures(
+        self, n_nodes, cell_seed, depth, data, weight_seed, channels
+    ):
+        # A network built from an assembly carries its standardisation, so
+        # forward_capture on it sees the bits the scorer scores.
+        cell = random_cell(n_nodes, cell_seed)
+        assembly = AssemblyConfig(
+            depth=depth,
+            stem_channels=data.draw(st.integers(1, 4)),
+            reductions=tuple(data.draw(st.lists(st.integers(0, depth - 1), unique=True).map(sorted))),
+            head=data.draw(st.booleans()),
+            head_units=data.draw(st.integers(1, 5)),
+            standardise=data.draw(st.booleans()),
+        )
+        dims = (channels, data.draw(st.integers(2, 8)), data.draw(st.integers(2, 8)))
+        batch = gaussian_batch(data.draw(st.integers(1, 12)), dims, seed=data.draw(st.integers(0, 2**32 - 1)))
+        library = forward_capture(build_network(cell, assembly, weight_seed, channels), batch)
+        scorer = score_and_capture(cell, assembly, batch, weight_seed)[1]
+        assert library.packed_rows.tobytes() == scorer.packed_rows.tobytes()
+        assert library.packed_rows.shape == scorer.packed_rows.shape
 
     def test_nb201_score_peak_memory(self):
         # tracemalloc sees numpy's allocations and reads the same peak every
