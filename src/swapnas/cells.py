@@ -251,26 +251,24 @@ def random_cell(n_nodes: int, rng) -> CellMatrix:
     with the op code chosen uniformly.  A connectivity repair pass then
     gives every non-source node at least one incoming and every non-sink
     node at least one outgoing edge, so the source reaches the sink through
-    every remaining node.
+    every remaining node.  That is every rule of :func:`validate_cell`, so
+    no draw is ever rejected.
     """
     if n_nodes < 2:
         raise ValueError("a cell needs at least two nodes")
     rng = np.random.default_rng(rng)
-    while True:
-        codes = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-        for i in range(n_nodes):
-            for j in range(i + 1, n_nodes):
-                if rng.random() < 0.5:
-                    codes[i, j] = OP_CODES[rng.integers(len(OP_CODES))]
-        for j in range(1, n_nodes):
-            if not codes[:j, j].any():
-                codes[rng.integers(0, j), j] = OP_CODES[rng.integers(len(OP_CODES))]
-        for i in range(n_nodes - 2, -1, -1):
-            if not codes[i, i + 1 :].any():
-                codes[i, rng.integers(i + 1, n_nodes)] = OP_CODES[rng.integers(len(OP_CODES))]
-        cell = CellMatrix(codes)
-        if not validate_cell(cell):
-            return cell
+    codes = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            if rng.random() < 0.5:
+                codes[i, j] = OP_CODES[rng.integers(len(OP_CODES))]
+    for j in range(1, n_nodes):
+        if not codes[:j, j].any():
+            codes[rng.integers(0, j), j] = OP_CODES[rng.integers(len(OP_CODES))]
+    for i in range(n_nodes - 2, -1, -1):
+        if not codes[i, i + 1 :].any():
+            codes[i, rng.integers(i + 1, n_nodes)] = OP_CODES[rng.integers(len(OP_CODES))]
+    return CellMatrix(codes)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ from .evaluation import (
     write_report_csv,
     write_score_records,
 )
-from .evolution import SearchConfig, _resume, config_differences, load_checkpoint, run_search
+from .evolution import SearchConfig, _drive, _SearchState, config_differences, load_checkpoint
 from .metric import RegularisationParams
-from .scoring import DEFAULT_BATCH, derive_seed, run_batch, score_and_capture
+from .scoring import DEFAULT_BATCH, cell_seed, run_batch, score_and_capture
 
 # Every validation error of the library, and UsageError below, is a ValueError.
 _VALIDATION_ERRORS = (FileNotFoundError, IsADirectoryError, ValueError)
@@ -129,6 +129,10 @@ _OUTPUT_KEYS = {
     "resume": _parse_bool,
 }
 _SEARCH_KEYS = {*_ASSEMBLY_FIELDS, *_SEARCH_FIELDS, *_REG_FIELDS, *_OUTPUT_KEYS}
+# The output keys that name a file the search writes.
+_OUTPUT_PATHS = ("out_cell", "out_trace", "out_summary", "checkpoint")
+# The flags, by dest, that name a file a command writes.
+_OUTPUT_FLAGS = {"out": "--out", "plot": "--plot", "save_scores": "--save-scores"}
 
 
 def _add_assembly_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -186,6 +190,18 @@ def _reject_replaced(args, source: str) -> None:
     for dest, flag in args.replaced.items():
         if dest in args.given:
             raise UsageError(f"{flag} has no effect with {source}")
+
+
+def _check_output_paths(outputs: dict) -> None:
+    """Refuse an output path, keyed by the flag or key that gave it, that cannot be a file.
+
+    Commands call this before any cell is scored, so a typo costs no compute.
+    """
+    for name, path in outputs.items():
+        if path and os.path.isdir(path):
+            raise UsageError(f"{name}: {path} is a directory")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise UsageError(f"{name}: directory of {path} does not exist")
 
 
 def _reg_from_args(args):
@@ -251,10 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_score(args) -> int:
     cell = read_cell_file(args.cell)
     batch = run_batch(args.batch, args.seed)
-    seed = derive_seed(args.seed, cell.stable_hash())
     # Flag errors are raised before the cell is scored.
     assembly, reg = _assembly_from_args(args), _reg_from_args(args)
-    record, capture = score_and_capture(cell, assembly, batch, seed)
+    record, capture = score_and_capture(cell, assembly, batch, cell_seed(args.seed, cell))
     record = record.regularised(reg)
     print(f"swap_score={record.swap}")
     print(f"reg_swap_score={_fmt(record.reg_swap)}")
@@ -311,12 +326,12 @@ def _search_config(values: dict[str, str]) -> tuple[SearchConfig, dict]:
 
 def _cmd_search(args) -> int:
     cfg, outputs = _search_config(_parse_config_file(args.config))
+    _check_output_paths({f"config key {key}": outputs.get(key) for key in _OUTPUT_PATHS})
 
     def log_cycle(cycle, population, best):
         print(f"cycle {cycle}: best={_fmt(best.score)} size_mb={_fmt(best.size_mb)}")
 
     checkpoint = outputs.get("checkpoint")
-    every = outputs.get("checkpoint_every", 1)
     if outputs.get("resume") and checkpoint and os.path.exists(checkpoint):
         state = load_checkpoint(checkpoint)
         differing = config_differences(state.cfg, cfg)
@@ -324,14 +339,9 @@ def _cmd_search(args) -> int:
             raise UsageError(
                 f"{args.config} differs from checkpoint {checkpoint} in: {', '.join(differing)}"
             )
-        result = _resume(state, checkpoint, every, log_cycle)
     else:
-        result = run_search(
-            cfg,
-            checkpoint_path=checkpoint,
-            checkpoint_every=every,
-            on_cycle=log_cycle,
-        )
+        state = _SearchState(cfg)
+    result = _drive(state, checkpoint, outputs.get("checkpoint_every", 1), log_cycle)
     reg = result.reg
     summary = {
         "best_score": _fmt(result.best.score),
@@ -536,6 +546,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output_paths({flag: getattr(args, dest, None) for dest, flag in _OUTPUT_FLAGS.items()})
         return _COMMANDS[args.command](args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .metric import (
     standard_pattern_cardinality,
 )
 from .network import gaussian_batch
-from .scoring import BATCH_SALT, derive_seed, run_batch, score_and_capture, score_cell
+from .scoring import BATCH_SALT, cell_seed, derive_seed, run_batch, score_and_capture, score_cell
 
 TABLE_COLUMNS = ("arch_id", "cell", "accuracy")
 SCORE_COLUMNS = ("arch_id", "seed", "batch", "swap", "reg_swap", "size_mb", "flops")
@@ -116,7 +116,10 @@ def replace_file(path, data: bytes) -> int:
     returned descriptor, whose offset is at the end of ``data``.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         write_all(fd, data)
         os.replace(tmp, path)
@@ -381,7 +384,7 @@ def score_table(
 
     def score(job) -> ScoreRecord:
         entry, seed, batch = job
-        record = score_cell(entry.cell, assembly, batch, derive_seed(seed, entry.cell.stable_hash()))
+        record = score_cell(entry.cell, assembly, batch, cell_seed(seed, entry.cell))
         # The record carries the derived weight seed; reports group by protocol seed.
         return replace(record, arch_id=entry.arch_id, seed=seed, batch=batch_spec)
 
@@ -462,32 +465,25 @@ def input_dim_ablation(
     for di, dims in enumerate(dims_list):
         batch = gaussian_batch(batch_size, dims, derive_seed(seed, BATCH_SALT + di))
         records: list[ScoreRecord] = []
-        standard_vals: list[float] = []
+        standard: list[float] = []
         for cell in cells:
-            record, capture = score_and_capture(cell, assembly, batch, derive_seed(seed, cell.stable_hash()))
+            record, capture = score_and_capture(cell, assembly, batch, cell_seed(seed, cell))
             records.append(record)
-            standard_vals.append(float(standard_pattern_cardinality(capture)))
+            # Counted at once, so a row never holds all of its cells' captures.
+            standard.append(float(standard_pattern_cardinality(capture)))
         if reg == "auto":
             reg = estimate_mu_sigma([r.size_mb for r in records])
-        swap_vals = [float(r.swap) for r in records]
-        reg_vals = [r.regularised(reg).reg_swap for r in records]
-        row = AblationRow(
-            dims=dims,
-            standard_mean=float(np.mean(standard_vals)),
-            standard_std=float(np.std(standard_vals)),
-            swap_mean=float(np.mean(swap_vals)),
-            swap_std=float(np.std(swap_vals)),
-            reg_swap_mean=float(np.mean(reg_vals)),
-            reg_swap_std=float(np.std(reg_vals)),
-        )
-        if accuracies is not None and len(cells) > 1:
-            row = replace(
-                row,
-                rho_standard=_safe_rho(standard_vals, accuracies),
-                rho_swap=_safe_rho(swap_vals, accuracies),
-                rho_reg_swap=_safe_rho(reg_vals, accuracies),
-            )
-        rows.append(row)
+        values = {
+            "standard": standard,
+            "swap": [float(r.swap) for r in records],
+            "reg_swap": [r.regularised(reg).reg_swap for r in records],
+        }
+        stats = {}
+        for metric, vals in values.items():
+            stats[f"{metric}_mean"], stats[f"{metric}_std"] = float(np.mean(vals)), float(np.std(vals))
+            if accuracies is not None and len(cells) > 1:
+                stats[f"rho_{metric}"] = _safe_rho(vals, accuracies)
+        rows.append(AblationRow(dims, **stats))
     return rows
 
 

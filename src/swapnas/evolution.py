@@ -32,7 +32,7 @@ import numpy as np
 from .cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell, validate_rows
 from .evaluation import estimate_mu_sigma, replace_file, write_all
 from .metric import RegularisationParams, ScoreRecord, regularised_swap_score
-from .scoring import DEFAULT_BATCH, derive_seed, run_batch, score_cell
+from .scoring import DEFAULT_BATCH, cell_seed, run_batch, score_cell
 
 CHECKPOINT_MAGIC = "SWAPCKPT 4"
 # A save that finds this many checkpoint lines in the run's file starts a new file.
@@ -240,7 +240,7 @@ class _SearchState:
         self.evaluations += 1
         hit = self.scored.get(cell)
         if hit is None:
-            seed = derive_seed(self.cfg.seed, cell.stable_hash())
+            seed = cell_seed(self.cfg.seed, cell)
             hit = self.scored[cell] = (cell, score_cell(cell, self.cfg.assembly, self.batch, seed))
         return hit
 
@@ -482,23 +482,32 @@ def load_checkpoint(path) -> _SearchState:
     return state
 
 
-def _check_every(checkpoint_every: int, checkpoint_path) -> None:
+def _drive(state: _SearchState, checkpoint_path, checkpoint_every: int, on_cycle) -> SearchResult:
+    """The search loop of a fresh state (no population yet) or a resumed one.
+
+    A fresh state is initialised and checkpointed as cycle 0 first.  The
+    checkpoint descriptor is closed however the loop ends.
+    """
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
     if checkpoint_every != 1 and not checkpoint_path:
         raise ValueError(f"checkpoint_every={checkpoint_every} has no effect without a checkpoint_path")
-
-
-def _drive(state: _SearchState, checkpoint_path, checkpoint_every, on_cycle) -> SearchResult:
-    while state.cycle < state.cfg.cycles:
-        state.run_cycle()
-        if checkpoint_path and (
-            state.cycle % checkpoint_every == 0 or state.cycle == state.cfg.cycles
-        ):
-            save_checkpoint(checkpoint_path, state)
-        if on_cycle is not None:
-            on_cycle(state.cycle, tuple(state.population), state.best())
-    return state.result()
+    try:
+        if not state.population:
+            state.initialise()
+            if checkpoint_path:
+                save_checkpoint(checkpoint_path, state)
+        while state.cycle < state.cfg.cycles:
+            state.run_cycle()
+            if checkpoint_path and (
+                state.cycle % checkpoint_every == 0 or state.cycle == state.cfg.cycles
+            ):
+                save_checkpoint(checkpoint_path, state)
+            if on_cycle is not None:
+                on_cycle(state.cycle, tuple(state.population), state.best())
+        return state.result()
+    finally:
+        state.close_checkpoint()
 
 
 def run_search(
@@ -509,15 +518,7 @@ def run_search(
     on_cycle=None,
 ) -> SearchResult:
     """Run the full search loop; identical config and seed give identical results."""
-    _check_every(checkpoint_every, checkpoint_path)
-    state = _SearchState(cfg)
-    try:
-        state.initialise()
-        if checkpoint_path:
-            save_checkpoint(checkpoint_path, state)
-        return _drive(state, checkpoint_path, checkpoint_every, on_cycle)
-    finally:
-        state.close_checkpoint()
+    return _drive(_SearchState(cfg), checkpoint_path, checkpoint_every, on_cycle)
 
 
 def resume_search(
@@ -532,13 +533,4 @@ def resume_search(
     uninterrupted run because the generator state travels with the
     checkpoint.
     """
-    return _resume(load_checkpoint(checkpoint_path), checkpoint_path, checkpoint_every, on_cycle)
-
-
-def _resume(state: _SearchState, checkpoint_path, checkpoint_every: int, on_cycle) -> SearchResult:
-    """:func:`resume_search` of a state already read by :func:`load_checkpoint`."""
-    _check_every(checkpoint_every, checkpoint_path)
-    try:
-        return _drive(state, checkpoint_path, checkpoint_every, on_cycle)
-    finally:
-        state.close_checkpoint()
+    return _drive(load_checkpoint(checkpoint_path), checkpoint_path, checkpoint_every, on_cycle)

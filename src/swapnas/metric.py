@@ -45,7 +45,8 @@ class ActivationCapture:
     n_samples: int
 
     def __post_init__(self) -> None:
-        packed = np.asarray(self.packed_rows, dtype=np.uint8)
+        # A private C-ordered copy, frozen; the caller's array stays writeable.
+        packed = np.array(self.packed_rows, dtype=np.uint8, order="C")
         if packed.ndim != 2:
             raise ContractViolationError("packed_rows must be a 2-D byte array")
         if self.n_samples < 1:
@@ -59,9 +60,7 @@ class ActivationCapture:
         # Zero the pad bits so byte equality coincides with bit equality.
         tail = self.n_samples % 8
         if tail and packed.shape[0]:
-            packed = packed.copy()
             packed[:, -1] &= np.uint8((0xFF << (8 - tail)) & 0xFF)
-        packed = np.ascontiguousarray(packed)
         packed.setflags(write=False)
         object.__setattr__(self, "packed_rows", packed)
 

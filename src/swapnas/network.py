@@ -49,14 +49,14 @@ class InputBatch:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+        # A private C-ordered copy, frozen; the caller's array stays writeable.
+        arr = np.array(self.data, dtype=np.float64, order="C")
         if arr.ndim != 4:
             raise ValueError("input batch must have axes (sample, channel, width, height)")
         if min(arr.shape) < 1:
             raise ValueError(f"all batch axes must be positive, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("input batch contains non-finite values")
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -130,15 +130,13 @@ class NetworkInstance:
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.weights):
             raise AssemblyError("one weight slot per node is required")
+        # Private C-ordered copies, frozen; the caller's arrays stay writeable.
         frozen = []
         for w in self.weights:
-            if w is None:
-                frozen.append(None)
-                continue
-            arr = np.asarray(w, dtype=np.float64)
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            frozen.append(arr)
+            if w is not None:
+                w = np.array(w, dtype=np.float64, order="C")
+                w.setflags(write=False)
+            frozen.append(w)
         object.__setattr__(self, "weights", tuple(frozen))
 
 

@@ -2,9 +2,9 @@
 
 Batch descriptors are short strings: ``gauss:SxCxWxH`` draws a seeded
 standard-normal batch, anything else is read as a raw tensor file path.
-Per-candidate weight seeds are derived by XOR-ing the global seed with a
-stable salt (the cell digest, or an explicit candidate id), so scoring
-many candidates in parallel gives the same records in any schedule.
+A cell's weight seed is :func:`cell_seed`, the global seed XOR-ed with
+the cell digest, so scoring many candidates in parallel gives the same
+records in any schedule.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ DEFAULT_BATCH = "gauss:32x3x32x32"
 def derive_seed(global_seed: int, salt: int) -> int:
     """Per-candidate seed: global seed XOR salt, folded to 64 bits."""
     return (int(global_seed) ^ int(salt)) & _SEED_MASK
+
+
+def cell_seed(global_seed: int, cell: CellMatrix) -> int:
+    """The weight seed a run with this global seed scores ``cell`` with."""
+    return derive_seed(global_seed, cell.stable_hash())
 
 
 def parse_batch_spec(spec: str) -> tuple[str, tuple[int, ...] | str]:

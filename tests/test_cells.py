@@ -166,6 +166,12 @@ class TestCellProperties:
         assert small != large
         assert len({small, large}) == 2
 
+    def test_a_cell_never_equals_a_non_cell(self):
+        cell = CellMatrix(np.eye(3, k=1, dtype=int))
+        assert cell.__eq__(cell.codes) is NotImplemented
+        assert cell != cell.encode()
+        assert cell != cell.rows()
+
 
 class TestRandomCell:
     def test_deterministic_for_equal_seeds(self):
@@ -173,10 +179,13 @@ class TestRandomCell:
         b = random_cell(4, np.random.default_rng(1))
         assert a == b
 
-    def test_sweep_of_draws_is_valid_and_fully_wired(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10_000):
-            cell = random_cell(4, rng)
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32))
+    def test_every_draw_is_valid_and_fully_wired(self, n, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            cell = random_cell(n, rng)
+            assert cell.n_nodes == n
             assert validate_cell(cell) == []
             active = np.triu(cell.codes, 1) != 0
             assert active[:, 1:].any(axis=0).all()  # every non-source has an input
@@ -195,12 +204,9 @@ class TestRandomCell:
         for code in OP_CODES:
             assert counts[code] / present == pytest.approx(0.25, abs=0.02)
 
-    def test_small_node_counts(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            assert validate_cell(random_cell(2, rng)) == []
-        with pytest.raises(ValueError):
-            random_cell(1, rng)
+    def test_one_node_rejected(self):
+        with pytest.raises(ValueError, match="a cell needs at least two nodes"):
+            random_cell(1, np.random.default_rng(3))
 
 
 class TestCellFileFormat:

@@ -9,14 +9,15 @@ import zlib
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, write_cell_file
 from swapnas import cli, evaluation, evolution
 from swapnas.cli import main
-from swapnas.evaluation import load_accuracy_table, read_score_records
+from swapnas.evaluation import load_accuracy_table, read_score_records, write_score_records
 from swapnas.evolution import SearchConfig, run_search
-from swapnas.metric import RegularisationParams
+from swapnas.metric import RegularisationParams, ScoreRecord
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -377,6 +378,10 @@ class TestSearchCommand:
                 "checkpoint population invalid: individual 3 has an invalid cell: "
                 "source node 0 has no outgoing connection",
             ),
+            (
+                edit_individual(cell=CellMatrix(np.eye(5, k=1, dtype=int)).encode_line()),
+                "checkpoint population invalid: individual 3 has an invalid cell: 5 nodes, expected 4",
+            ),
             (edit_body(cycle=-1), "checkpoint cycle invalid: expected a non-negative integer, got -1"),
             (edit_body(trace=[1.0, "x"]), "checkpoint trace invalid: expected a list of numbers"),
             (edit_body(population=[]), "checkpoint population invalid: expected a list of 6 individuals"),
@@ -401,7 +406,7 @@ class TestSearchCommand:
             ),
         ],
         ids=[
-            "empty", "empty-config", "list", "not-json", "invalid-cell", "cycle", "trace",
+            "empty", "empty-config", "list", "not-json", "invalid-cell", "node-count", "cycle", "trace",
             "population-size", "individual-not-object", "score", "size", "birth",
         ],
     )
@@ -888,6 +893,22 @@ class TestHistogram:
         assert code == 0
         assert out.count("bin=") == 3
 
+    def test_out_and_plot_bytes(self, capsys, tmp_path):
+        scores = tmp_path / "scores.csv"
+        sizes = (1.0, 2.0, 4.0)
+        write_score_records(scores, [ScoreRecord(f"m{i}", 1, 1.0, s, 0, 0, "b") for i, s in enumerate(sizes)])
+        out_csv, plot = tmp_path / "bins.csv", tmp_path / "bins.plot"
+        code, out, _ = run(
+            capsys, "histogram", "--scores", str(scores), "--bins", "3",
+            "--out", str(out_csv), "--plot", str(plot),
+        )
+        assert code == 0
+        assert out == "bin=1.0:2.0 count=1\nbin=2.0:3.0 count=1\nbin=3.0:4.0 count=1\n"
+        assert out_csv.read_bytes() == b"bin_low,bin_high,count\n1.0,2.0,1\n2.0,3.0,1\n3.0,4.0,1\n"
+        assert plot.read_bytes() == (
+            b"series,x,y\nsize_histogram,1.5,1.0\nsize_histogram,2.5,1.0\nsize_histogram,3.5,1.0\n"
+        )
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "histogram")
         assert code == 1
@@ -897,6 +918,52 @@ class TestHistogram:
         code, _, err = run(capsys, "histogram", "--truth", truth_file)
         assert code == 1
         assert "size_mb" in err
+
+
+class TestOutputDirectoriesCheckedFirst:
+    """An output path that names a directory or a missing one is refused before any cell is scored."""
+
+    @pytest.mark.parametrize(
+        "cmd, flag",
+        [
+            ("score", "--out"),
+            ("correlate", "--out"), ("correlate", "--plot"), ("correlate", "--save-scores"),
+            ("sweep", "--out"), ("sweep", "--plot"),
+            ("ablate-dims", "--out"), ("ablate-dims", "--plot"),
+            ("histogram", "--out"), ("histogram", "--plot"),
+        ],
+    )
+    def test_flag(self, capsys, tmp_path, cell_file, score_calls, cmd, flag):
+        truth = write_table(tmp_path / "truth.csv")
+        scores = tmp_path / "scores.csv"
+        write_score_records(scores, [ScoreRecord("m0", 1, 1.0, 1.0, 0, 0, "b")])
+        inputs = {
+            "score": ["--cell", cell_file, "--batch", "gauss:4x3x6x6"],
+            "correlate": ["--truth", truth, *TABLE_FLAGS],
+            "sweep": ["--truth", truth, *TABLE_FLAGS, "--grid", "1:1"],
+            "ablate-dims": ["--dims", "3x4x4", "--cells", "3", "--depth", "1", "--stem-channels", "4"],
+            "histogram": ["--scores", str(scores)],
+        }[cmd]
+        missing = tmp_path / "absent" / "out.csv"
+        code, out, err = run(capsys, cmd, *inputs, flag, str(missing))
+        assert code == 1
+        assert err == f"error: {flag}: directory of {missing} does not exist\n"
+        assert out == "" and score_calls == []
+        assert not missing.parent.exists()
+        # A path naming a directory is refused as early.
+        code, out, err = run(capsys, cmd, *inputs, flag, str(tmp_path))
+        assert (code, out, err) == (1, "", f"error: {flag}: {tmp_path} is a directory\n")
+        assert score_calls == []
+
+    @pytest.mark.parametrize("key", ["out_cell", "out_trace", "out_summary", "checkpoint"])
+    def test_search_key(self, capsys, tmp_path, score_calls, key):
+        missing = tmp_path / "absent" / "out.txt"
+        cfg = TestSearchCommand().write_config(tmp_path, **{key: str(missing)})
+        code, out, err = run(capsys, "search", "--config", cfg)
+        assert code == 1
+        assert err == f"error: config key {key}: directory of {missing} does not exist\n"
+        assert out == "" and score_calls == []
+        assert not missing.parent.exists()
 
 
 class TestHelpAndErrors:
@@ -935,6 +1002,14 @@ class TestHelpAndErrors:
             for action in sub_parser._actions:
                 for option in action.option_strings:
                     assert option in text, f"{name} help misses {option}"
+
+    def test_a_runtime_fault_exits_2(self, capsys, cell_file, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("scorer broke")
+
+        monkeypatch.setattr(cli, "score_and_capture", fail)
+        code, out, err = run(capsys, "score", "--cell", cell_file, "--batch", "gauss:4x3x6x6")
+        assert (code, out, err) == (2, "", "runtime error: scorer broke\n")
 
     def test_unknown_flag_is_validation_error(self, capsys):
         code, _, err = run(capsys, "histogram", "--bogus")
@@ -1046,11 +1121,15 @@ class TestCommandGoldens:
 
     def test_sweep_outputs_match_golden(self, capsys, tmp_path):
         truth = write_table(tmp_path / "truth.csv")
-        out_csv = tmp_path / "out.csv"
+        out_csv, plot = tmp_path / "out.csv", tmp_path / "out.plot"
         code, out, err = run(
             capsys, "sweep", "--truth", truth, *TABLE_FLAGS,
-            "--grid", "0.001:0.000001,0.0015:0.000002,0.01:1", "--out", str(out_csv),
+            "--grid", "0.001:0.000001,0.0015:0.000002,0.01:1", "--out", str(out_csv), "--plot", str(plot),
         )
         assert code == 0, err
         assert out == (GOLDEN / "sweep.stdout").read_text()
         assert out_csv.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
+        # The plot holds (mu, rho) of every grid row: the golden CSV's rows after the no-bell row.
+        points = [line.split(",") for line in (GOLDEN / "sweep.csv").read_text().splitlines()[2:]]
+        plot_rows = "".join(f"rho_vs_mu,{mu},{rho}\n" for mu, _, rho, _ in points)
+        assert plot.read_bytes() == ("series,x,y\n" + plot_rows).encode()

@@ -644,6 +644,18 @@ class TestInputDimAblation:
         auto = input_dim_ablation(cells, dims, 6, assembly=asm, seed=2, reg="auto")
         assert auto == input_dim_ablation(cells, dims, 6, assembly=asm, seed=2, reg=bell(1))
 
+    def test_each_capture_is_counted_before_the_next_cell_is_scored(self, monkeypatch):
+        # So a row never holds all of its cells' captures at once.
+        events = []
+        score, count = evaluation.score_and_capture, evaluation.standard_pattern_cardinality
+        monkeypatch.setattr(evaluation, "score_and_capture", lambda *a: events.append("score") or score(*a))
+        monkeypatch.setattr(
+            evaluation, "standard_pattern_cardinality", lambda c: events.append("count") or count(c)
+        )
+        asm = AssemblyConfig(depth=1, stem_channels=4)
+        input_dim_ablation([CELL_A, CELL_B, CELL_A], [(3, 4, 4), (2, 3, 3)], 2, assembly=asm)
+        assert events == ["score", "count"] * 6
+
     @pytest.mark.parametrize(
         "cells, dims, accuracies, message",
         [
@@ -695,6 +707,12 @@ class TestAtomicWriteText:
             atomic_write_text(path, self.TEXT)
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_missing_directory_is_named_by_the_path_not_a_temp_file(self, tmp_path):
+        path = tmp_path / "absent" / "out.txt"
+        with pytest.raises(FileNotFoundError) as caught:
+            atomic_write_text(path, self.TEXT)
+        assert str(caught.value) == f"[Errno 2] No such file or directory: '{path}'"
 
     def test_non_ascii_text_is_rejected_and_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "out.txt"

@@ -402,6 +402,11 @@ class TestSearchLoop:
         assert small_config(population=9).tournament_size == 5
         assert small_config(population=8).tournament_size == 4
 
+    def test_an_explicit_tournament_is_the_sample_size(self):
+        assert small_config(population=9, tournament=2).tournament_size == 2
+        # The default size (half of 8) named explicitly runs the same search.
+        assert run_search(small_config(tournament=4)) == run_search(small_config())
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
             small_config(seed=-1)

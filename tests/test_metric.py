@@ -51,6 +51,14 @@ class TestActivationCapture:
         assert np.array_equal(cap.packed_rows[0], cap.packed_rows[1])
         assert swap_score(cap) == 1
 
+    @pytest.mark.parametrize("n_samples, kept", [(8, 0b10100111), (3, 0b10100000)])
+    def test_the_callers_array_stays_writeable_and_apart(self, n_samples, kept):
+        p = np.array([[0b10100111]], dtype=np.uint8)
+        cap = ActivationCapture(p, n_samples)
+        p[0, 0] = 0
+        assert cap.packed_rows.tolist() == [[kept]]
+        assert cap.packed_rows.flags.c_contiguous and not cap.packed_rows.flags.writeable
+
     def test_transpose_is_involutive(self):
         rng = np.random.default_rng(2)
         bits = (rng.random((9, 5)) < 0.5).astype(np.uint8)

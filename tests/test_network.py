@@ -82,6 +82,14 @@ class TestInputBatch:
         assert a.data.shape == (4, 3, 5, 6)
         assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_the_callers_array_stays_writeable_and_apart(self, order):
+        a = np.zeros((1, 2, 2, 2), order=order)
+        batch = InputBatch(a)
+        a[0, 0, 0, 0] = 1.0
+        assert batch.data.tobytes() == bytes(64)
+        assert batch.data.flags.c_contiguous and not batch.data.flags.writeable
+
     def test_rejects_non_finite(self):
         bad = np.zeros((1, 1, 2, 2))
         bad[0, 0, 0, 0] = np.inf
@@ -174,6 +182,14 @@ class TestInputBatch:
 
 
 class TestBuildNetwork:
+    def test_the_callers_weights_stay_writeable_and_apart(self):
+        nodes = conv_chain([(2, 1, 1, 0)]).nodes
+        w = np.ones((2, 3, 1, 1))
+        net = NetworkInstance(nodes, (None, w), 0, 3)
+        w[0, 0, 0, 0] = 5.0
+        assert net.weights[1].tobytes() == np.ones((2, 3, 1, 1)).tobytes()
+        assert net.weights[1].flags.c_contiguous and not net.weights[1].flags.writeable
+
     def test_weights_bit_identical_for_equal_seeds(self):
         cfg = AssemblyConfig(depth=2, stem_channels=8)
         a = build_network(CELL, cfg, seed=7)
