@@ -123,10 +123,12 @@ def replace_file(path, data: bytes) -> int:
     try:
         write_all(fd, data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.close(fd)
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # the rename: name the path
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
     return fd
 

@@ -45,8 +45,10 @@ class ActivationCapture:
     n_samples: int
 
     def __post_init__(self) -> None:
-        # A private C-ordered copy, frozen; the caller's array stays writeable.
-        packed = np.array(self.packed_rows, dtype=np.uint8, order="C")
+        # A private C-ordered copy; the caller's array stays writeable.
+        self._freeze(np.array(self.packed_rows, dtype=np.uint8, order="C"))
+
+    def _freeze(self, packed: np.ndarray) -> None:
         if packed.ndim != 2:
             raise ContractViolationError("packed_rows must be a 2-D byte array")
         if self.n_samples < 1:
@@ -64,6 +66,18 @@ class ActivationCapture:
         packed.setflags(write=False)
         object.__setattr__(self, "packed_rows", packed)
 
+    @classmethod
+    def _adopt(cls, packed_rows: np.ndarray, n_samples: int) -> "ActivationCapture":
+        """The capture ``cls(...)`` builds, but holding ``packed_rows`` itself, frozen.
+
+        Only for a C-ordered uint8 array the library has just made and
+        nobody else holds: the public constructor copies it.
+        """
+        capture = object.__new__(cls)
+        object.__setattr__(capture, "n_samples", n_samples)
+        capture._freeze(packed_rows)
+        return capture
+
     @property
     def n_values(self) -> int:
         return int(self.packed_rows.shape[0])
@@ -76,7 +90,7 @@ class ActivationCapture:
             raise ContractViolationError("bit matrix must be 2-D")
         if arr.size and not np.isin(arr, (0, 1)).all():
             raise ContractViolationError("bit matrix entries must be 0 or 1")
-        return cls(pack_bit_rows(arr), arr.shape[1])
+        return cls._adopt(pack_bit_rows(arr), arr.shape[1])
 
     def bits(self) -> np.ndarray:
         """Unpack to a dense (values x samples) uint8 matrix of 0/1."""
@@ -86,7 +100,7 @@ class ActivationCapture:
         """Swap the value/sample axes, turning columns into rows."""
         if self.n_values == 0:
             raise ContractViolationError("cannot transpose an empty capture")
-        return ActivationCapture(pack_bit_rows(self.bits().T), self.n_values)
+        return ActivationCapture._adopt(pack_bit_rows(self.bits().T), self.n_values)
 
 
 _NATIVE_KEYS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}

@@ -7,7 +7,9 @@ pass each node only computes its output; a dense layer's output is an
 (S, units, 1, 1) map, so every node that feeds a ReLU (``scored``) then
 takes the same step: an optional per-channel batch standardisation, the
 bit ``value > 0`` of every value packed into the capture, and the ReLU.
-Raw activations are dropped as soon as their last consumer has run.  The
+Nodes that read the same input tuple share one fan-in sum, and every map is
+dropped once its last reader has run.  A node overwrites only a map it owns:
+its own new output, or the sum that a skip alone reads.  The
 standardisation emulates normalisation layers at initialisation, so it is part
 of the network (``NetworkInstance.standardise``, set by :func:`build_network`),
 and a capture depends only on (network, batch).  It must be switched off when
@@ -128,16 +130,38 @@ class NetworkInstance:
     standardise: bool = True
 
     def __post_init__(self) -> None:
-        if len(self.nodes) != len(self.weights):
+        # Private C-ordered copies; the caller's arrays stay writeable.
+        self._freeze(tuple(None if w is None else np.array(w, dtype=np.float64, order="C") for w in self.weights))
+
+    def _freeze(self, weights: tuple[np.ndarray | None, ...]) -> None:
+        if len(self.nodes) != len(weights):
             raise AssemblyError("one weight slot per node is required")
-        # Private C-ordered copies, frozen; the caller's arrays stay writeable.
-        frozen = []
-        for w in self.weights:
+        for w in weights:
             if w is not None:
-                w = np.array(w, dtype=np.float64, order="C")
                 w.setflags(write=False)
-            frozen.append(w)
-        object.__setattr__(self, "weights", tuple(frozen))
+        object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def _adopt(
+        cls,
+        nodes: tuple[NodeSpec, ...],
+        weights: tuple[np.ndarray | None, ...],
+        seed: int,
+        in_channels: int,
+        standardise: bool,
+    ) -> NetworkInstance:
+        """The instance ``cls(...)`` builds, but holding ``weights``' own arrays, frozen.
+
+        Only for C-ordered float64 arrays the library has just made and
+        nobody else holds: the public constructor copies them.
+        """
+        net = object.__new__(cls)
+        object.__setattr__(net, "nodes", nodes)
+        object.__setattr__(net, "seed", seed)
+        object.__setattr__(net, "in_channels", in_channels)
+        object.__setattr__(net, "standardise", standardise)
+        net._freeze(weights)
+        return net
 
 
 def network_from_nodes(
@@ -154,7 +178,7 @@ def network_from_nodes(
     for shape in trace_graph(nodes, (in_channels,)).weight_shapes:
         fan_in = math.prod(shape[1:])
         weights.append(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in) if shape else None)
-    return NetworkInstance(tuple(nodes), tuple(weights), seed, in_channels, standardise)
+    return NetworkInstance._adopt(tuple(nodes), tuple(weights), seed, in_channels, standardise)
 
 
 def build_network(
@@ -265,8 +289,14 @@ def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarr
         index = corners.reshape(-1, 1) + taps.reshape(1, -1)
         edges = _conv_blocks(s, rows, n_out, depth)
         flat = x.reshape(s, -1)
-        cols = np.empty((edges[-1] - edges[-2], rows, depth))  # the last block is the largest
+        # The output is allocated first, so the block buffer lies above it
+        # and goes back to the top of the heap when the conv returns.  The
+        # other way round its hole lies under the output, later frees merge
+        # the two into a free top that glibc trims, and the next score faults
+        # the pages back in: about 3,300 minor faults per search-small search
+        # once the standardise ran in place.
         y = np.empty((s * rows, n_out))
+        cols = np.empty((edges[-1] - edges[-2], rows, depth))  # the last block is the largest
         for a, b in zip(edges, edges[1:]):
             block = cols[: b - a]
             # Every index is in range, so "wrap" never wraps.  Unlike the
@@ -291,7 +321,7 @@ def _avg_pool(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _standardise(y: np.ndarray) -> np.ndarray:
+def _standardise(y: np.ndarray, inplace: bool = False) -> np.ndarray:
     """``(y - y.mean(axes)) / np.sqrt(y.var(axes) + eps)`` over axes (0, 2, 3), in ``y``'s layout.
 
     These are the float operations numpy's ``mean`` and ``var`` run (a sum,
@@ -308,6 +338,9 @@ def _standardise(y: np.ndarray) -> np.ndarray:
     channel the reduced axis is contiguous and numpy sums it pairwise,
     which einsum does not, so one channel and every other layout (a scored
     skip on the NCHW batch) take ``np.add.reduce``.
+
+    With ``inplace`` the result is written over ``y`` (``y -= mean`` and so
+    on), which gives the same bytes without a second map.
     """
     c = y.shape[1]
     n = y.size // c
@@ -318,7 +351,7 @@ def _standardise(y: np.ndarray) -> np.ndarray:
     else:
         mean = np.add.reduce(y, (0, 2, 3), keepdims=True)
     mean /= n
-    out = y - mean
+    out = np.subtract(y, mean, out=y if inplace else None)
     if einsum:
         centred = out.transpose(0, 2, 3, 1).reshape(-1, c)  # a view: ``out`` keeps ``y``'s layout
         var = np.einsum("ij,ij->j", centred, centred).reshape(c, 1, 1)
@@ -334,12 +367,22 @@ def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCaptur
 
     The capture has one row per value that feeds a ReLU (scored convs give
     channels times output area, scored dense layers their units) and one
-    column per sample; raw activations are freed as soon as every consumer
-    has used them.  If ``net.standardise`` is set (a network built from an
-    assembly carries the assembly's), each scored layer's pre-activations
+    column per sample.  If ``net.standardise`` is set (a network built from
+    an assembly carries the assembly's), each scored layer's pre-activations
     are shifted and scaled per channel to batch mean 0 and variance ~1
     before the ReLU, which changes the recorded signs.  Every weight must
     have the shape :func:`swapnas.cells.trace_graph` gives its node.
+
+    Sharing: the nodes that read one tuple of two or more inputs share its
+    fan-in sum, computed left to right at the first of them and kept until
+    the last has run; the sum's inputs are dropped once no node still reads
+    them, alone or in another tuple.  A map no node reads is not kept.
+    Ownership: a conv, pool or dense node owns its output, and a skip owns
+    a sum that no other node reads, so its standardise and ReLU write over
+    that map.  A scored skip over anything else (a shared sum, one input,
+    the batch) writes new maps.  The float operations are those of a pass
+    that sums afresh for each reader and writes nothing in place, so the
+    bytes are too.
     """
     if batch.channels != net.in_channels:
         raise ShapeError(
@@ -350,18 +393,41 @@ def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCaptur
         got, want = (None if w is None else w.shape), (shape or None)
         if got != want:
             raise AssemblyError(f"node {node.name} has weight shape {got}, but its graph gives {want}")
-    consumers = list(trace.consumers)
+    # Reads still to come: a node id counts the nodes that read it alone and
+    # the distinct input tuples it is in; a tuple counts the nodes it feeds.
+    consumers: dict[int | tuple[int, ...], int] = dict(enumerate(trace.consumers))
+    for node in net.nodes:
+        ins = node.inputs
+        if len(ins) > 1:
+            if ins in consumers:  # a repeat reader takes the sum, not its inputs
+                consumers[ins] += 1
+                for i in ins:
+                    consumers[i] -= 1
+            else:
+                consumers[ins] = 1
     n_samples = batch.n_samples
     blocks = [np.zeros((0, (n_samples + 7) // 8), dtype=np.uint8)]
-    values: dict[int, np.ndarray] = {}
+    values: dict[int | tuple[int, ...], np.ndarray] = {}
 
     for idx, node in enumerate(net.nodes):
+        ins = node.inputs
         if node.kind == "input":
             out = batch.data
         else:
-            x = values[node.inputs[0]]
-            for i in node.inputs[1:]:
-                x = x + values[i]
+            if len(ins) == 1:
+                x = values[ins[0]]
+            elif ins in values:  # a later reader of a shared fan-in sum
+                x = values[ins]
+            else:  # the tuple's first reader sums it; only a shared sum is kept
+                x = values[ins[0]]
+                for i in ins[1:]:
+                    x = x + values[i]
+                if consumers[ins] > 1:
+                    values[ins] = x
+                for i in ins:
+                    consumers[i] -= 1
+                    if not consumers[i]:
+                        del values[i]
             if node.kind == "conv":
                 out = _conv2d(x, net.weights[idx], node.stride, node.padding)
             elif node.kind == "avg-pool":
@@ -373,22 +439,26 @@ def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCaptur
             else:  # dense; trace_graph has rejected every other kind
                 out = (x.reshape(n_samples, -1) @ net.weights[idx].T).reshape(n_samples, -1, 1, 1)
             if node.scored:
+                # Every kind but a skip computes a new map.  A skip's map is
+                # its own only when it is a sum that no other node reads; a
+                # node's value, the batch and a shared sum are not its to overwrite.
+                owned = node.kind != "skip" or (len(ins) > 1 and ins not in values)
                 if net.standardise:
-                    out = _standardise(out)
+                    out = _standardise(out, inplace=owned)
+                    owned = True  # a new map, if ``out`` was not owned
                 # One copy of the bits, straight into (value, sample) order.
                 blocks.append(pack_bit_rows((out > 0).transpose(1, 2, 3, 0).reshape(-1, n_samples)))
-                if out is values[node.inputs[0]]:  # a scored skip's input: not ours to overwrite
-                    out = np.maximum(out, 0.0)
-                else:
-                    np.maximum(out, 0.0, out=out)
+                out = np.maximum(out, 0.0, out=out if owned else None)
             if not np.isfinite(out).all():
                 raise NumericOverflowError(
                     f"non-finite intermediate value produced by layer {node.name}"
                 )
-        values[idx] = out
-        for i in node.inputs:
-            consumers[i] -= 1
-            if consumers[i] == 0:
-                del values[i]
+        if consumers[idx]:
+            values[idx] = out
+        if ins:
+            key = ins[0] if len(ins) == 1 else ins
+            consumers[key] -= 1
+            if not consumers[key]:
+                values.pop(key, None)  # an unshared sum was never kept
 
-    return ActivationCapture(np.concatenate(blocks, axis=0), n_samples)
+    return ActivationCapture._adopt(np.concatenate(blocks, axis=0), n_samples)

@@ -714,6 +714,16 @@ class TestAtomicWriteText:
             atomic_write_text(path, self.TEXT)
         assert str(caught.value) == f"[Errno 2] No such file or directory: '{path}'"
 
+    def test_a_directory_in_the_way_is_named_by_the_path_not_a_temp_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as caught:
+            atomic_write_text(path, self.TEXT)
+        assert caught.value.filename == str(path) and caught.value.filename2 is None
+        assert ".tmp-" not in str(caught.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(path.iterdir()) == []
+
     def test_non_ascii_text_is_rejected_and_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("old\n")

@@ -59,6 +59,12 @@ class TestActivationCapture:
         assert cap.packed_rows.tolist() == [[kept]]
         assert cap.packed_rows.flags.c_contiguous and not cap.packed_rows.flags.writeable
 
+    def test_the_library_path_keeps_its_own_array_frozen(self):
+        p = np.array([[0b10100111]], dtype=np.uint8)
+        cap = ActivationCapture._adopt(p, 3)
+        assert cap.packed_rows is p and not p.flags.writeable
+        assert p.tolist() == [[0b10100000]] and cap.n_samples == 3
+
     def test_transpose_is_involutive(self):
         rng = np.random.default_rng(2)
         bits = (rng.random((9, 5)) < 0.5).astype(np.uint8)

@@ -190,6 +190,25 @@ class TestBuildNetwork:
         assert net.weights[1].tobytes() == np.ones((2, 3, 1, 1)).tobytes()
         assert net.weights[1].flags.c_contiguous and not net.weights[1].flags.writeable
 
+    def test_the_library_path_keeps_its_own_arrays_frozen(self):
+        nodes = conv_chain([(2, 1, 1, 0)]).nodes
+        w = np.ones((2, 3, 1, 1))
+        net = NetworkInstance._adopt(nodes, (None, w), 0, 3, True)
+        assert net.weights[1] is w and not w.flags.writeable
+        assert (net.nodes, net.seed, net.in_channels, net.standardise) == (nodes, 0, 3, True)
+        with pytest.raises(AssemblyError, match="one weight slot per node"):
+            NetworkInstance._adopt(nodes, (None,), 0, 3, True)
+
+    def test_drawn_weights_and_captures_are_frozen(self):
+        net = build_network(CELL, AssemblyConfig(depth=2, stem_channels=8), seed=7)
+        assert not forward_capture(net, gaussian_batch(3, (3, 4, 4), seed=0)).packed_rows.flags.writeable
+        copied = NetworkInstance(net.nodes, net.weights, net.seed, net.in_channels, net.standardise)
+        for w, c in zip(net.weights, copied.weights):
+            assert (w is None) == (c is None)
+            if w is not None:
+                assert not w.flags.writeable and w.flags.c_contiguous and w.dtype == np.float64
+                assert w.tobytes() == c.tobytes()
+
     def test_weights_bit_identical_for_equal_seeds(self):
         cfg = AssemblyConfig(depth=2, stem_channels=8)
         a = build_network(CELL, cfg, seed=7)
@@ -774,6 +793,91 @@ class TestReferencePipeline:
         assert splits_a_conv(net, batch) == blocked
         got = forward_capture(net, batch).packed_rows
         assert got.tobytes() == reference_capture(net, batch).tobytes()
+
+
+@st.composite
+def shared_input_graphs(draw):
+    """Hand-built graphs of one width and map size whose nodes share input tuples.
+
+    Each node reads a tuple drawn before (so a tuple has one to several
+    readers) or a new one of one to three earlier ids, repeats allowed, so
+    a node is read alone, inside tuples or both.  Nodes are convs, pools
+    and skips, any of them scored; skips over the batch, over one input,
+    over other skips and over shared sums arise.  An optional head pools
+    one tuple globally and feeds a dense layer.
+    """
+    c = draw(st.integers(1, 3))
+    nodes = [NodeSpec("input", "input")]
+    tuples = []
+    for k in range(1, draw(st.integers(2, 10))):
+        if tuples and draw(st.booleans()):
+            ins = draw(st.sampled_from(tuples))
+        else:
+            ins = tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)))
+            tuples.append(ins)
+        kind = draw(st.sampled_from(["conv", "avg-pool", "skip", "skip"]))
+        scored = draw(st.booleans())
+        if kind == "conv":
+            kernel = draw(st.sampled_from([1, 3]))
+            node = NodeSpec(f"n{k}", "conv", ins, channels_out=c, kernel=kernel, padding=kernel // 2, scored=scored)
+        elif kind == "avg-pool":
+            node = NodeSpec(f"n{k}", "avg-pool", ins, kernel=3, padding=1, scored=scored)
+        else:
+            node = NodeSpec(f"n{k}", "skip", ins, scored=scored)
+        nodes.append(node)
+    if draw(st.booleans()):
+        ins = draw(st.sampled_from(tuples))
+        nodes.append(NodeSpec("pool", "global-pool", ins, scored=draw(st.booleans())))
+        nodes.append(NodeSpec("fc", "dense", (len(nodes) - 1,), units=2, scored=True))
+    assume(any(node.scored for node in nodes))
+    net = network_from_nodes(tuple(nodes), draw(st.integers(0, 2**32 - 1)), c, draw(st.booleans()))
+    dims = (c, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    return net, gaussian_batch(draw(st.integers(1, 9)), dims, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+# Every case of shared_input_graphs at once: (1, 2) read by a conv, a scored
+# skip and a pool; a tuple with a repeated id; node 1 read alone and inside
+# tuples; scored skips over the batch, over one input and over a shared sum;
+# a skip chain (8 -> 9 -> 10) and an unscored skip over a shared sum (11).
+SHARED_INPUTS = (
+    NodeSpec("input", "input"),
+    NodeSpec("stem", "conv", (0,), channels_out=2, kernel=3, padding=1, scored=True),
+    NodeSpec("relu-batch", "skip", (0,), scored=True),
+    NodeSpec("sum-conv", "conv", (1, 2), channels_out=2, kernel=1, scored=True),
+    NodeSpec("relu-sum", "skip", (1, 2), scored=True),
+    NodeSpec("pool", "avg-pool", (1, 2), kernel=3, padding=1),
+    NodeSpec("relu-one", "skip", (1,), scored=True),
+    NodeSpec("twice", "conv", (3, 3, 5), channels_out=2, kernel=3, padding=1, scored=True),
+    NodeSpec("chain0", "skip", (4, 6)),
+    NodeSpec("chain1", "skip", (8,)),
+    NodeSpec("chain2", "skip", (9,), scored=True),
+    NodeSpec("alias", "skip", (3, 3, 5)),
+    NodeSpec("last", "conv", (3, 3, 5), channels_out=2, kernel=1, scored=True),
+    NodeSpec("relu-last", "skip", (10, 11, 12), scored=True),
+)
+
+
+class TestSharedInputs:
+    """The pass that shares fan-in sums, frees maps early and overwrites the
+    maps it owns gives the bytes of ``reference_capture``, which sums afresh
+    for each reader, never writes in place and keeps every map."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_input_graphs())
+    @example(
+        (network_from_nodes(SHARED_INPUTS, 5, 2, True), gaussian_batch(5, (2, 4, 3), seed=6))
+    ).via("every case, standardised")
+    @example(
+        (network_from_nodes(SHARED_INPUTS, 5, 2, False), gaussian_batch(5, (2, 4, 3), seed=6))
+    ).via("every case, raw")
+    def test_capture_matches_the_reference_pass(self, case):
+        net, batch = case
+        before = batch.data.copy()
+        got = forward_capture(net, batch).packed_rows
+        want = reference_capture(net, batch)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert batch.data.tobytes() == before.tobytes()
 
 
 class TestGraphTrace:
