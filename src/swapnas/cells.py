@@ -392,15 +392,24 @@ def assemble_descriptor(
 class GraphTrace:
     """One walk's view of a node graph (see :func:`trace_graph`).
 
-    Per node: its output's (channels, width, height), its weight shape (()
-    if it has none) and how many node inputs read it.  ``parameters`` is the
-    weight count (initialisation zeroes the biases, so they are left out);
-    ``macs`` sums each weighted layer's weight count times its output area.
+    Per node: its output's (channels, width, height) and its weight shape
+    (() if it has none).  ``parameters`` is the weight count (initialisation
+    zeroes the biases, so they are left out); ``macs`` sums each weighted
+    layer's weight count times its output area.
+
+    ``last_read`` is the forward pass's lifetime rule: for each map it keeps,
+    the index of the last node that reads it, after which the map is dropped.
+    A key is a node id, for its output, or a tuple of two or more input ids,
+    for the fan-in sum that the tuple's readers share.  A tuple's first
+    reader reads its inputs (dropping those it reads last once summed) and
+    the tuple; a later reader reads only the tuple; a single-input node
+    reads its one input.  A node that no node reads has no key, and a sum
+    is kept only if a later node reads it.
     """
 
     shapes: tuple[tuple[int, int, int], ...]
     weight_shapes: tuple[tuple[int, ...], ...]
-    consumers: tuple[int, ...]
+    last_read: dict[int | tuple[int, ...], int]
     parameters: int
     macs: int
 
@@ -418,7 +427,8 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
     Windowed layers use output size floor((d + 2*padding - kernel)/stride) + 1
     per spatial axis.  ``input_dims`` may be (C,), for a network that has
     not met a batch: then only the rules that need no map size run, and
-    widths, heights and ``macs`` read 0.
+    widths, heights and ``macs`` read 0.  The same walk plans the forward
+    pass's map lifetimes (``GraphTrace.last_read``).
     """
     dims = tuple(int(d) for d in input_dims)
     if len(dims) not in (1, 3):
@@ -428,7 +438,7 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
     sized = len(dims) == 3
     shapes: list[tuple[int, int, int]] = []
     weight_shapes: list[tuple[int, ...]] = []
-    consumers = [0] * len(nodes)
+    last_read: dict[int | tuple[int, ...], int] = {}
     parameters = macs = 0
     for k, node in enumerate(nodes):
         if node.kind == "input":
@@ -446,7 +456,13 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
         for i in node.inputs:
             if not 0 <= i < k:
                 raise AssemblyError(f"node {node.name} (node {k}) takes input {i}, outside [0, {k})")
-            consumers[i] += 1
+        if len(node.inputs) == 1:
+            last_read[node.inputs[0]] = k
+        else:
+            if node.inputs not in last_read:  # only a tuple's first reader reads its inputs
+                for i in node.inputs:
+                    last_read[i] = k
+            last_read[node.inputs] = k
         ins = {shapes[i][0] for i in node.inputs}
         if len(ins) != 1:
             raise AssemblyError(f"node {node.name} sums inputs of differing widths {sorted(ins)}")
@@ -469,6 +485,7 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
                     f"got kernel {node.kernel}, channels_out {node.channels_out}"
                 )
             c_out = node.channels_out
+            shape = (c_out, c, node.kernel, node.kernel)
         elif node.kind in ("avg-pool", "skip", "global-pool"):
             # These keep their input's width; 0 leaves channels_out unset.
             if node.channels_out not in (0, c):
@@ -480,11 +497,12 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
                 raise AssemblyError(
                     f"node {node.name} ({node.kind}) sets units {node.units}; only dense nodes take units"
                 )
-            c_out = c
+            c_out, shape = c, ()
         elif node.kind == "dense":
             if node.units < 1:
                 raise AssemblyError(f"node {node.name} (dense) needs units >= 1, got {node.units}")
             c_out = node.units
+            shape = (c_out, c)
         else:
             raise AssemblyError(f"unknown node kind {node.kind!r} at {node.name}")
         _, w, h = shapes[node.inputs[0]]
@@ -503,12 +521,11 @@ def trace_graph(nodes: tuple[NodeSpec, ...], input_dims: tuple[int, ...]) -> Gra
                     raise ShapeError(f"dense layer {node.name} expects 1x1 spatial input, got {w}x{h}")
                 w = h = 1
         shapes.append((c_out, w, h))
-        shape = weight_shape(node, c)
         weight_shapes.append(shape)
         n_weights = math.prod(shape) if shape else 0
         parameters += n_weights
         macs += n_weights * w * h
-    return GraphTrace(tuple(shapes), tuple(weight_shapes), tuple(consumers), parameters, macs)
+    return GraphTrace(tuple(shapes), tuple(weight_shapes), last_read, parameters, macs)
 
 
 def trace_channels(nodes: tuple[NodeSpec, ...], in_channels: int) -> list[int]:
@@ -521,15 +538,6 @@ def trace_shapes(
 ) -> list[tuple[int, int, int]]:
     """(channels, width, height) of each node's output (see :func:`trace_graph`)."""
     return list(trace_graph(nodes, input_dims).shapes)
-
-
-def weight_shape(node: NodeSpec, in_channels: int) -> tuple[int, ...]:
-    """Shape of a node's weight tensor on an input of ``in_channels``, or () if it has none."""
-    if node.kind == "conv":
-        return (node.channels_out, in_channels, node.kernel, node.kernel)
-    if node.kind == "dense":
-        return (node.units, in_channels)
-    return ()
 
 
 def count_parameters(cell: CellMatrix, cfg: AssemblyConfig, in_channels: int = 3) -> int:

@@ -282,8 +282,7 @@ class _SearchState:
 
     def run_cycle(self) -> None:
         cfg = self.cfg
-        sample_size = min(cfg.tournament_size, len(self.population))
-        idx = self.rng.choice(len(self.population), size=sample_size, replace=False)
+        idx = self.rng.choice(len(self.population), size=cfg.tournament_size, replace=False)
         candidates = sorted(
             (self.population[i] for i in idx.tolist()),
             key=lambda ind: (-ind.score, ind.cell.encode()),

@@ -7,10 +7,10 @@ pass each node only computes its output; a dense layer's output is an
 (S, units, 1, 1) map, so every node that feeds a ReLU (``scored``) then
 takes the same step: an optional per-channel batch standardisation, the
 bit ``value > 0`` of every value packed into the capture, and the ReLU.
-Nodes that read the same input tuple share one fan-in sum, and every map is
-dropped once its last reader has run.  A node overwrites only a map it owns:
-its own new output, or the sum that a skip alone reads.  The
-standardisation emulates normalisation layers at initialisation, so it is part
+Nodes that read the same input tuple share one fan-in sum, and each map is
+kept as long as :class:`swapnas.cells.GraphTrace` plans.  A node overwrites
+only a map it owns: its own new output, or the sum that a skip alone reads.
+The standardisation emulates normalisation layers at initialisation, so it is part
 of the network (``NetworkInstance.standardise``, set by :func:`build_network`),
 and a capture depends only on (network, batch).  It must be switched off when
 testing the positive-scale sign invariance of plain convolution chains.
@@ -374,9 +374,8 @@ def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCaptur
     have the shape :func:`swapnas.cells.trace_graph` gives its node.
 
     Sharing: the nodes that read one tuple of two or more inputs share its
-    fan-in sum, computed left to right at the first of them and kept until
-    the last has run; the sum's inputs are dropped once no node still reads
-    them, alone or in another tuple.  A map no node reads is not kept.
+    fan-in sum, computed left to right at the first of them; each map is
+    kept and dropped as :class:`swapnas.cells.GraphTrace` ``last_read`` plans.
     Ownership: a conv, pool or dense node owns its output, and a skip owns
     a sum that no other node reads, so its standardise and ReLU write over
     that map.  A scored skip over anything else (a shared sum, one input,
@@ -393,72 +392,62 @@ def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCaptur
         got, want = (None if w is None else w.shape), (shape or None)
         if got != want:
             raise AssemblyError(f"node {node.name} has weight shape {got}, but its graph gives {want}")
-    # Reads still to come: a node id counts the nodes that read it alone and
-    # the distinct input tuples it is in; a tuple counts the nodes it feeds.
-    consumers: dict[int | tuple[int, ...], int] = dict(enumerate(trace.consumers))
-    for node in net.nodes:
-        ins = node.inputs
-        if len(ins) > 1:
-            if ins in consumers:  # a repeat reader takes the sum, not its inputs
-                consumers[ins] += 1
-                for i in ins:
-                    consumers[i] -= 1
-            else:
-                consumers[ins] = 1
+    last_read = trace.last_read
     n_samples = batch.n_samples
     blocks = [np.zeros((0, (n_samples + 7) // 8), dtype=np.uint8)]
     values: dict[int | tuple[int, ...], np.ndarray] = {}
 
-    for idx, node in enumerate(net.nodes):
-        ins = node.inputs
-        if node.kind == "input":
-            out = batch.data
-        else:
-            if len(ins) == 1:
-                x = values[ins[0]]
-            elif ins in values:  # a later reader of a shared fan-in sum
-                x = values[ins]
-            else:  # the tuple's first reader sums it; only a shared sum is kept
-                x = values[ins[0]]
-                for i in ins[1:]:
-                    x = x + values[i]
-                if consumers[ins] > 1:
-                    values[ins] = x
-                for i in ins:
-                    consumers[i] -= 1
-                    if not consumers[i]:
-                        del values[i]
-            if node.kind == "conv":
-                out = _conv2d(x, net.weights[idx], node.stride, node.padding)
-            elif node.kind == "avg-pool":
-                out = _avg_pool(x)
-            elif node.kind == "skip":
-                out = x
-            elif node.kind == "global-pool":
-                out = x.mean(axis=(2, 3), keepdims=True)
-            else:  # dense; trace_graph has rejected every other kind
-                out = (x.reshape(n_samples, -1) @ net.weights[idx].T).reshape(n_samples, -1, 1, 1)
-            if node.scored:
-                # Every kind but a skip computes a new map.  A skip's map is
-                # its own only when it is a sum that no other node reads; a
-                # node's value, the batch and a shared sum are not its to overwrite.
-                owned = node.kind != "skip" or (len(ins) > 1 and ins not in values)
-                if net.standardise:
-                    out = _standardise(out, inplace=owned)
-                    owned = True  # a new map, if ``out`` was not owned
-                # One copy of the bits, straight into (value, sample) order.
-                blocks.append(pack_bit_rows((out > 0).transpose(1, 2, 3, 0).reshape(-1, n_samples)))
-                out = np.maximum(out, 0.0, out=out if owned else None)
-            if not np.isfinite(out).all():
-                raise NumericOverflowError(
-                    f"non-finite intermediate value produced by layer {node.name}"
-                )
-        if consumers[idx]:
-            values[idx] = out
-        if ins:
-            key = ins[0] if len(ins) == 1 else ins
-            consumers[key] -= 1
-            if not consumers[key]:
-                values.pop(key, None)  # an unshared sum was never kept
+    # numpy's overflow warnings stay quiet, so the check below that names
+    # the layer is the one report, even where warnings are errors.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, node in enumerate(net.nodes):
+            ins = node.inputs
+            if node.kind == "input":
+                out = batch.data
+            else:
+                if len(ins) == 1:
+                    x = values[ins[0]]
+                elif ins in values:  # a later reader of a shared fan-in sum
+                    x = values[ins]
+                else:  # the tuple's first reader sums it
+                    x = values[ins[0]]
+                    for i in ins[1:]:
+                        x = x + values[i]
+                    if last_read[ins] > idx:
+                        values[ins] = x
+                    for i in ins:
+                        if last_read[i] == idx:
+                            values.pop(i, None)  # an id repeated in the tuple goes at its first copy
+                if node.kind == "conv":
+                    out = _conv2d(x, net.weights[idx], node.stride, node.padding)
+                elif node.kind == "avg-pool":
+                    out = _avg_pool(x)
+                elif node.kind == "skip":
+                    out = x
+                elif node.kind == "global-pool":
+                    out = x.mean(axis=(2, 3), keepdims=True)
+                else:  # dense; trace_graph has rejected every other kind
+                    out = (x.reshape(n_samples, -1) @ net.weights[idx].T).reshape(n_samples, -1, 1, 1)
+                if node.scored:
+                    # Every kind but a skip computes a new map.  A skip's map is
+                    # its own only when it is a sum that no other node reads; a
+                    # node's value, the batch and a shared sum are not its to overwrite.
+                    owned = node.kind != "skip" or (len(ins) > 1 and ins not in values)
+                    if net.standardise:
+                        out = _standardise(out, inplace=owned)
+                        owned = True  # a new map, if ``out`` was not owned
+                    # One copy of the bits, straight into (value, sample) order.
+                    blocks.append(pack_bit_rows((out > 0).transpose(1, 2, 3, 0).reshape(-1, n_samples)))
+                    out = np.maximum(out, 0.0, out=out if owned else None)
+                if not np.isfinite(out).all():
+                    raise NumericOverflowError(
+                        f"non-finite intermediate value produced by layer {node.name}"
+                    )
+            if idx in last_read:
+                values[idx] = out
+            if ins:
+                key = ins[0] if len(ins) == 1 else ins
+                if last_read[key] == idx:
+                    values.pop(key, None)  # an unshared sum was never kept
 
     return ActivationCapture._adopt(np.concatenate(blocks, axis=0), n_samples)

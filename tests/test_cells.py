@@ -569,7 +569,7 @@ class TestGraphTrace:
         full, bare = trace_graph(nodes, (3, 9, 9)), trace_graph(nodes, (3,))
         assert [c for c, _, _ in bare.shapes] == [c for c, _, _ in full.shapes]
         assert {(w, h) for _, w, h in bare.shapes} == {(0, 0)}
-        assert (bare.weight_shapes, bare.consumers) == (full.weight_shapes, full.consumers)
+        assert (bare.weight_shapes, bare.last_read) == (full.weight_shapes, full.last_read)
         assert bare.parameters == full.parameters == count_parameters(EXAMPLE_CELL, cfg)
         assert bare.macs == 0 and full.macs == count_flops(EXAMPLE_CELL, cfg, (3, 9, 9))
 

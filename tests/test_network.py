@@ -3,6 +3,7 @@
 import os
 import re
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -406,6 +407,11 @@ class TestForwardCapture:
         broken = replace(net, weights=tuple(None if w is None else w * 1e200 for w in net.weights))
         with pytest.raises(NumericOverflowError, match="conv1"):
             forward_capture(broken, gaussian_batch(2, (3, 6, 6), seed=1))
+
+    def test_overflow_identifies_the_layer_when_warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.test_overflow_identifies_the_layer()
 
 
 def np_pad(x, padding):
@@ -889,12 +895,33 @@ class TestGraphTrace:
         assert trace.parameters == sum(w.size for w in net.weights if w is not None)
         scored = sum(c * w * h for node, (c, w, h) in zip(net.nodes, trace.shapes) if node.scored)
         assert scored == forward_capture(replace(net, standardise=False), batch).n_values
-        readers = [i for node in net.nodes for i in node.inputs]
-        assert trace.consumers == tuple(readers.count(k) for k in range(len(net.nodes)))
+        read = {i for node in net.nodes for i in node.inputs}
+        assert set(trace.last_read) == read | {node.inputs for node in net.nodes if len(node.inputs) > 1}
         bare = trace_graph(net.nodes, (batch.channels,))
         assert [c for c, _, _ in bare.shapes] == [c for c, _, _ in trace.shapes]
-        assert bare.weight_shapes == trace.weight_shapes
+        assert (bare.weight_shapes, bare.last_read) == (trace.weight_shapes, trace.last_read)
         assert bare.parameters == trace.parameters
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_input_graphs())
+    @example(
+        (network_from_nodes(SHARED_INPUTS, 5, 2, True), gaussian_batch(5, (2, 4, 3), seed=6))
+    ).via("every case")
+    def test_last_read_is_the_last_reader_of_each_map(self, case):
+        net, batch = case
+        # (map, reader) pairs: a tuple's first reader reads the tuple and its
+        # inputs, a later reader only the tuple, a one-input node its input.
+        reads = []
+        for k, node in enumerate(net.nodes):
+            if len(node.inputs) == 1:
+                reads.append((node.inputs[0], k))
+            elif node.inputs:
+                reads.append((node.inputs, k))
+                if [n.inputs for n in net.nodes].index(node.inputs) == k:
+                    reads.extend((i, k) for i in node.inputs)
+        # A map that no node reads has no key in either.
+        want = {key: max(k for read, k in reads if read == key) for key, _ in reads}
+        assert trace_graph(net.nodes, batch.dims).last_read == want
 
 
 class TestScaleInvariance:
