@@ -345,6 +345,8 @@ def assemble_descriptor(
     Layout: input, stem conv, then ``depth`` cell copies with reduction
     convs at the configured indices, then the optional head.  The flattening
     is deterministic: edges are emitted in (target, source) order.
+    ``in_channels`` is never read (the walk takes the stem's width from the
+    batch); it is kept because ``benchmarks/workloads.py`` passes it.
     """
     violations = validate_cell(cell)
     if violations:
@@ -542,7 +544,7 @@ def trace_shapes(
 
 def count_parameters(cell: CellMatrix, cfg: AssemblyConfig, in_channels: int = 3) -> int:
     """Total weight count of the assembled network (see :class:`GraphTrace`)."""
-    return trace_graph(assemble_descriptor(cell, cfg, in_channels), (in_channels,)).parameters
+    return trace_graph(assemble_descriptor(cell, cfg), (in_channels,)).parameters
 
 
 def count_flops(
@@ -551,7 +553,7 @@ def count_flops(
     input_dims: tuple[int, int, int],
 ) -> int:
     """Multiply-accumulate count of the assembled network (see :class:`GraphTrace`)."""
-    return trace_graph(assemble_descriptor(cell, cfg, input_dims[0]), input_dims).macs
+    return trace_graph(assemble_descriptor(cell, cfg), input_dims).macs
 
 
 def params_to_megabytes(param_count: int) -> float:

@@ -368,10 +368,10 @@ def score_table(
 
     The entries are split into ``n_seeds`` disjoint strided groups; group k
     is scored with seed k (fresh batch, fresh weights).  Every entry is
-    scored raw, on ``n_workers`` threads; the records do not depend on the
-    schedule.  ``reg="auto"`` then estimates the bell parameters once from
-    the whole table's sizes, taking each entry's reported size and else
-    the size its record was scored with.
+    scored raw, on ``n_workers`` threads but at most one per core; the
+    records do not depend on the schedule.  ``reg="auto"`` then estimates
+    the bell parameters once from the whole table's sizes, taking each
+    entry's reported size and else the size its record was scored with.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
@@ -390,7 +390,7 @@ def score_table(
         # The record carries the derived weight seed; reports group by protocol seed.
         return replace(record, arch_id=entry.arch_id, seed=seed, batch=batch_spec)
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(n_workers, os.cpu_count() or 1)) as pool:
         records = list(pool.map(score, jobs))
     if reg == "auto" and records:
         reg = estimate_mu_sigma(

@@ -8,8 +8,9 @@ pass each node only computes its output; a dense layer's output is an
 takes the same step: an optional per-channel batch standardisation, the
 bit ``value > 0`` of every value packed into the capture, and the ReLU.
 Nodes that read the same input tuple share one fan-in sum, and each map is
-kept as long as :class:`swapnas.cells.GraphTrace` plans.  A node overwrites
-only a map it owns: its own new output, or the sum that a skip alone reads.
+dropped at the read that :class:`swapnas.cells.GraphTrace` plans as its last.
+A scored node's standardisation and ReLU write only over the output it has
+just made; a skip makes none, so a scored skip first copies its input.
 The standardisation emulates normalisation layers at initialisation, so it is part
 of the network (``NetworkInstance.standardise``, set by :func:`build_network`),
 and a capture depends only on (network, batch).  It must be switched off when
@@ -188,7 +189,7 @@ def build_network(
     in_channels: int = 3,
 ) -> NetworkInstance:
     """Assemble a cell stack and give it seeded random weights."""
-    nodes = assemble_descriptor(cell, assembly, in_channels)
+    nodes = assemble_descriptor(cell, assembly)
     return network_from_nodes(nodes, seed, in_channels, assembly.standardise)
 
 
@@ -373,15 +374,14 @@ def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCaptur
     before the ReLU, which changes the recorded signs.  Every weight must
     have the shape :func:`swapnas.cells.trace_graph` gives its node.
 
-    Sharing: the nodes that read one tuple of two or more inputs share its
-    fan-in sum, computed left to right at the first of them; each map is
-    kept and dropped as :class:`swapnas.cells.GraphTrace` ``last_read`` plans.
-    Ownership: a conv, pool or dense node owns its output, and a skip owns
-    a sum that no other node reads, so its standardise and ReLU write over
-    that map.  A scored skip over anything else (a shared sum, one input,
-    the batch) writes new maps.  The float operations are those of a pass
-    that sums afresh for each reader and writes nothing in place, so the
-    bytes are too.
+    Reading: the nodes that read one tuple of two or more inputs share its
+    fan-in sum, computed left to right at the first of them; every map, a
+    node's or a sum's, is dropped at the read that
+    :class:`swapnas.cells.GraphTrace` ``last_read`` plans as its last.
+    Writing: a scored node's standardise and ReLU write over the output it
+    has just made; a skip makes none, so a scored skip copies its input
+    first.  The float operations are those of a pass that sums afresh for
+    each reader and writes nothing in place, so the bytes are too.
     """
     if batch.channels != net.in_channels:
         raise ShapeError(
@@ -394,7 +394,7 @@ def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCaptur
             raise AssemblyError(f"node {node.name} has weight shape {got}, but its graph gives {want}")
     last_read = trace.last_read
     n_samples = batch.n_samples
-    blocks = [np.zeros((0, (n_samples + 7) // 8), dtype=np.uint8)]
+    blocks = [pack_bit_rows(np.zeros((0, n_samples), dtype=bool))]
     values: dict[int | tuple[int, ...], np.ndarray] = {}
 
     # numpy's overflow warnings stay quiet, so the check below that names
@@ -405,49 +405,41 @@ def forward_capture(net: NetworkInstance, batch: InputBatch) -> ActivationCaptur
             if node.kind == "input":
                 out = batch.data
             else:
-                if len(ins) == 1:
-                    x = values[ins[0]]
-                elif ins in values:  # a later reader of a shared fan-in sum
-                    x = values[ins]
+                key = ins[0] if len(ins) == 1 else ins
+                if key in values:
+                    x = values.pop(key) if last_read[key] == idx else values[key]
                 else:  # the tuple's first reader sums it
                     x = values[ins[0]]
                     for i in ins[1:]:
                         x = x + values[i]
-                    if last_read[ins] > idx:
-                        values[ins] = x
                     for i in ins:
                         if last_read[i] == idx:
                             values.pop(i, None)  # an id repeated in the tuple goes at its first copy
+                    if last_read[key] > idx:
+                        values[key] = x
                 if node.kind == "conv":
                     out = _conv2d(x, net.weights[idx], node.stride, node.padding)
                 elif node.kind == "avg-pool":
                     out = _avg_pool(x)
                 elif node.kind == "skip":
-                    out = x
+                    # A copy in the input's layout: a C-order copy of a conv
+                    # output would change ``_standardise``'s sums and its bytes.
+                    out = x.copy(order="K") if node.scored else x
                 elif node.kind == "global-pool":
                     out = x.mean(axis=(2, 3), keepdims=True)
                 else:  # dense; trace_graph has rejected every other kind
                     out = (x.reshape(n_samples, -1) @ net.weights[idx].T).reshape(n_samples, -1, 1, 1)
                 if node.scored:
-                    # Every kind but a skip computes a new map.  A skip's map is
-                    # its own only when it is a sum that no other node reads; a
-                    # node's value, the batch and a shared sum are not its to overwrite.
-                    owned = node.kind != "skip" or (len(ins) > 1 and ins not in values)
                     if net.standardise:
-                        out = _standardise(out, inplace=owned)
-                        owned = True  # a new map, if ``out`` was not owned
+                        _standardise(out, inplace=True)
                     # One copy of the bits, straight into (value, sample) order.
                     blocks.append(pack_bit_rows((out > 0).transpose(1, 2, 3, 0).reshape(-1, n_samples)))
-                    out = np.maximum(out, 0.0, out=out if owned else None)
+                    np.maximum(out, 0.0, out=out)
                 if not np.isfinite(out).all():
                     raise NumericOverflowError(
                         f"non-finite intermediate value produced by layer {node.name}"
                     )
             if idx in last_read:
                 values[idx] = out
-            if ins:
-                key = ins[0] if len(ins) == 1 else ins
-                if last_read[key] == idx:
-                    values.pop(key, None)  # an unshared sum was never kept
 
     return ActivationCapture._adopt(np.concatenate(blocks, axis=0), n_samples)

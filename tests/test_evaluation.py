@@ -545,6 +545,22 @@ class TestScoreTable:
         par = score_table(table, asm, "gauss:4x3x5x5", n_workers=4, **kwargs)
         assert seq == par
 
+    def test_pool_starts_at_most_one_worker_per_core(self, monkeypatch):
+        # A pool starts a thread per job up to its cap, so the cap is what
+        # bounds the threads of a large table; three jobs start at most three.
+        caps = []
+
+        class Recording(evaluation.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                caps.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Recording)
+        table = BenchmarkTable(tuple(BenchmarkEntry(f"a{i}", CELL_A, 0.5) for i in range(3)))
+        score_table(table, AssemblyConfig(depth=1, stem_channels=4), "gauss:4x3x5x5", n_workers=10**6)
+        assert len(caps) == 1
+        assert 1 <= caps[0] <= (os.cpu_count() or 1)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker(self, workers):
         table = BenchmarkTable((BenchmarkEntry("a", CELL_A, 0.5), BenchmarkEntry("b", CELL_B, 0.5)))

@@ -864,9 +864,10 @@ SHARED_INPUTS = (
 
 
 class TestSharedInputs:
-    """The pass that shares fan-in sums, frees maps early and overwrites the
-    maps it owns gives the bytes of ``reference_capture``, which sums afresh
-    for each reader, never writes in place and keeps every map."""
+    """The pass that shares fan-in sums, drops each map at its last read and
+    writes in place over each scored node's own output (a scored skip's
+    copy of its input) gives the bytes of ``reference_capture``, which sums
+    afresh for each reader, never writes in place and keeps every map."""
 
     @settings(max_examples=300, deadline=None)
     @given(shared_input_graphs())
