@@ -24,7 +24,6 @@ from .cells import (
     random_cell,
     read_cell_file,
     validate_cell,
-    write_cell_file,
 )
 from .evaluation import (
     BenchmarkEntry,
@@ -41,7 +40,6 @@ from .evaluation import (
     score_table,
     size_histogram,
     spearman_rho,
-    write_accuracy_table,
 )
 from .evolution import (
     Individual,
@@ -67,12 +65,10 @@ from .network import (
     InputBatch,
     NetworkInstance,
     NumericOverflowError,
-    build_mlp,
     build_network,
     forward_capture,
     gaussian_batch,
     read_tensor_file,
-    write_tensor_file,
 )
 from .scoring import derive_seed, make_batch, score_cell
 

@@ -196,11 +196,6 @@ def read_cell_file(path) -> CellMatrix:
         return CellMatrix.decode(fh.read())
 
 
-def write_cell_file(path, cell: CellMatrix) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(cell.encode())
-
-
 def validate_cell(cell: CellMatrix) -> list[str]:
     """Check the search-space invariants; an empty list means the cell is ok.
 

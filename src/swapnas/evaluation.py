@@ -182,20 +182,6 @@ def load_accuracy_table(path) -> BenchmarkTable:
     return BenchmarkTable(tuple(entries))
 
 
-def write_accuracy_table(path, table: BenchmarkTable) -> None:
-    header = list(TABLE_COLUMNS)
-    has_size = any(e.size_mb is not None for e in table.entries)
-    if has_size:
-        header.append("size_mb")
-    rows = []
-    for e in table.entries:
-        row = [e.arch_id, e.cell.encode_line(), float(e.accuracy)]
-        if has_size:
-            row.append(None if e.size_mb is None else float(e.size_mb))
-        rows.append(row)
-    _write_csv(path, header, rows)
-
-
 def write_score_records(path, records) -> None:
     rows = [
         (r.arch_id, r.seed, r.batch, r.swap, float(r.reg_swap), float(r.size_mb), r.flops)
@@ -263,6 +249,11 @@ def estimate_mu_sigma(sizes) -> RegularisationParams:
         raise ValueError("need at least two sizes to estimate the distribution")
     top = ceil_to_significant(max(sizes), 2)
     return RegularisationParams(mu=top, sigma=top)
+
+
+def _resolve_bell(reg, sizes) -> RegularisationParams | None:
+    """The bell ``reg`` names: :func:`estimate_mu_sigma` of ``sizes`` for "auto", else ``reg`` itself."""
+    return estimate_mu_sigma(sizes) if reg == "auto" else reg
 
 
 @dataclass(frozen=True)
@@ -392,10 +383,9 @@ def score_table(
 
     with ThreadPoolExecutor(max_workers=min(n_workers, os.cpu_count() or 1)) as pool:
         records = list(pool.map(score, jobs))
-    if reg == "auto" and records:
-        reg = estimate_mu_sigma(
-            r.size_mb if e.size_mb is None else e.size_mb for (e, _, _), r in zip(jobs, records)
-        )
+    if records:
+        sizes = (r.size_mb if e.size_mb is None else e.size_mb for (e, _, _), r in zip(jobs, records))
+        reg = _resolve_bell(reg, sizes)
     return [r.regularised(reg) for r in records]
 
 
@@ -451,7 +441,7 @@ def input_dim_ablation(
     against ``accuracies`` when given (None where undefined: for a single
     cell or under full saturation).  ``reg="auto"`` estimates one bell for
     every row from the sizes the cells score with in the first
-    ``dims_list`` entry.
+    ``dims_list`` entry, so it needs at least two cells.
     """
     cells = list(cells)
     if not cells:
@@ -463,6 +453,8 @@ def input_dim_ablation(
         accuracies = [float(a) for a in accuracies]
         if len(accuracies) != len(cells):
             raise ValueError("need exactly one accuracy per cell")
+    if reg == "auto" and len(cells) < 2:
+        raise ValueError("the bell cannot be estimated from fewer than two cells; give --mu and --sigma instead")
     rows: list[AblationRow] = []
     for di, dims in enumerate(dims_list):
         batch = gaussian_batch(batch_size, dims, derive_seed(seed, BATCH_SALT + di))
@@ -473,8 +465,7 @@ def input_dim_ablation(
             records.append(record)
             # Counted at once, so a row never holds all of its cells' captures.
             standard.append(float(standard_pattern_cardinality(capture)))
-        if reg == "auto":
-            reg = estimate_mu_sigma([r.size_mb for r in records])
+        reg = _resolve_bell(reg, [r.size_mb for r in records])
         values = {
             "standard": standard,
             "swap": [float(r.swap) for r in records],

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .cells import OP_CODES, OP_NONE, AssemblyConfig, CellMatrix, random_cell, validate_cell, validate_rows
-from .evaluation import estimate_mu_sigma, replace_file, write_all
+from .evaluation import _resolve_bell, replace_file, write_all
 from .metric import RegularisationParams, ScoreRecord, regularised_swap_score
 from .scoring import DEFAULT_BATCH, cell_seed, run_batch, score_cell
 
@@ -224,10 +224,10 @@ class _SearchState:
     def initialise(self) -> None:
         cells = [random_cell(self.cfg.nodes, self.rng) for _ in range(self.cfg.population)]
         scored = [self.score(cell) for cell in cells]
-        self.reg = estimate_mu_sigma([r.size_mb for _, r in scored]) if self.cfg.reg == "auto" else self.cfg.reg
+        self.reg = _resolve_bell(self.cfg.reg, [r.size_mb for _, r in scored])
         self.population = [
-            Individual(cell, self.regularised(record), record.swap, record.size_mb, record.seed, birth)
-            for birth, (cell, record) in enumerate(scored, start=self.next_birth)
+            Individual(cell, regularised_swap_score(r.swap, r.size_mb, self.reg), r.swap, r.size_mb, r.seed, birth)
+            for birth, (cell, r) in enumerate(scored, start=self.next_birth)
         ]
         self.next_birth += len(scored)
         self.trace.append(self.best().score)
@@ -244,12 +244,6 @@ class _SearchState:
             hit = self.scored[cell] = (cell, score_cell(cell, self.cfg.assembly, self.batch, seed))
         return hit
 
-    def regularised(self, record: ScoreRecord) -> float:
-        """``record.regularised(self.reg).reg_swap``, computed without copying the record."""
-        if self.reg is None:
-            return float(record.swap)
-        return regularised_swap_score(record.swap, record.size_mb, self.reg)
-
     def best_of(self, cells) -> tuple[CellMatrix, ScoreRecord, float, int]:
         """Score ``cells`` in turn, each using up the next birth, and keep the best.
 
@@ -260,7 +254,7 @@ class _SearchState:
         best = best_key = None
         for cell in cells:
             cell, record = self.score(cell)
-            score = self.regularised(record)
+            score = regularised_swap_score(record.swap, record.size_mb, self.reg)
             key = (-score, cell.encode(), self.next_birth)
             if best is None or key < best_key:
                 best, best_key = (cell, record, score, self.next_birth), key

@@ -158,10 +158,12 @@ def regularisation_factor(size: float, params: RegularisationParams) -> float:
     return math.exp(-((size - params.mu) ** 2) / params.sigma)
 
 
-def regularised_swap_score(score: float, size: float, params: RegularisationParams) -> float:
-    """Scale a raw score by the size bell; never exceeds the raw score."""
+def regularised_swap_score(score: float, size: float, params: RegularisationParams | None) -> float:
+    """Scale a raw score by the size bell, or by none for ``params=None``; never exceeds the raw score."""
     if score < 0:
         raise ContractViolationError("score must be non-negative")
+    if params is None:
+        return float(score)
     return score * regularisation_factor(size, params)
 
 
@@ -179,6 +181,4 @@ class ScoreRecord:
 
     def regularised(self, reg: RegularisationParams | None) -> "ScoreRecord":
         """This record with ``reg_swap`` under the bell ``reg``; None leaves the raw score."""
-        if reg is None:
-            return replace(self, reg_swap=float(self.swap))
         return replace(self, reg_swap=regularised_swap_score(self.swap, self.size_mb, reg))

@@ -83,14 +83,6 @@ def gaussian_batch(n_samples: int, dims: tuple[int, int, int], seed) -> InputBat
     return InputBatch(rng.standard_normal((n_samples, c, w, h)))
 
 
-def write_tensor_file(path, batch: InputBatch) -> None:
-    """Write the raw tensor format: ASCII header line, then little-endian float32."""
-    s, c, w, h = batch.data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"{TENSOR_MAGIC} {s} {c} {w} {h}\n".encode("ascii"))
-        fh.write(batch.data.astype("<f4").tobytes())
-
-
 def _check_payload_size(size: int, expected: int) -> None:
     if size != expected:
         raise ValueError(f"tensor payload has {size} bytes, expected {expected}")
@@ -191,31 +183,6 @@ def build_network(
     """Assemble a cell stack and give it seeded random weights."""
     nodes = assemble_descriptor(cell, assembly)
     return network_from_nodes(nodes, seed, in_channels, assembly.standardise)
-
-
-def build_mlp(
-    in_features: int,
-    hidden_units: list[int] | tuple[int, ...],
-    seed: int,
-    head_units: int = 0,
-) -> NetworkInstance:
-    """Plain dense chain; inputs are (features, 1, 1) tensors.
-
-    Every hidden layer feeds a ReLU and is captured.  The optional head is
-    a linear output layer without an activation.
-    """
-    if in_features < 1:
-        raise ValueError("in_features must be at least 1")
-    nodes: list[NodeSpec] = [NodeSpec("input", "input")]
-    prev = 0
-    for li, units in enumerate(hidden_units):
-        if units < 1:
-            raise ValueError("hidden layer sizes must be at least 1")
-        nodes.append(NodeSpec(f"dense{li}", "dense", (prev,), units=int(units), scored=True))
-        prev = len(nodes) - 1
-    if head_units:
-        nodes.append(NodeSpec("head", "dense", (prev,), units=int(head_units)))
-    return network_from_nodes(tuple(nodes), seed, in_features)
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:

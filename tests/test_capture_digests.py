@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from swapnas.cells import AssemblyConfig, CellMatrix, NodeSpec, nb201_like_assembly, random_cell
-from swapnas.network import build_mlp, build_network, forward_capture, gaussian_batch, network_from_nodes
+from swapnas.network import build_network, forward_capture, gaussian_batch, network_from_nodes
+
+from test_network import dense_chain
 
 UNSCORED = (
     NodeSpec("input", "input"),
@@ -48,8 +50,8 @@ CASES = {
         5, AssemblyConfig(depth=3, stem_channels=4, reductions=(1,), head=True), (3, 9, 7), 15
     ),
     "head": _cell_case(6, AssemblyConfig(depth=1, stem_channels=3, head=True, head_units=7), (1, 5, 5), 16),
-    "mlp": (lambda: build_mlp(6, [5, 9, 4], seed=17), (6, 1, 1)),
-    "mlp-head": (lambda: build_mlp(4, [8, 3], seed=18, head_units=2), (4, 1, 1)),
+    "mlp": (lambda: dense_chain([5, 9, 4], seed=17, in_features=6), (6, 1, 1)),
+    "mlp-head": (lambda: dense_chain([8, 3], seed=18, in_features=4, head_units=2), (4, 1, 1)),
     "unscored": (lambda: network_from_nodes(UNSCORED, seed=19, in_channels=3), (3, 6, 5)),
     "nb201-full": (lambda: build_network(FULL_CELL, nb201_like_assembly(), 21, 3), (3, 32, 32)),
     "pool-wx1": (lambda: build_network(FULL_CELL, AssemblyConfig(depth=2, stem_channels=4), 22, 3), (3, 7, 1)),

@@ -27,7 +27,6 @@ from swapnas.cells import (
     trace_graph,
     trace_shapes,
     validate_cell,
-    write_cell_file,
 )
 from swapnas.network import NetworkInstance, forward_capture, gaussian_batch, network_from_nodes
 
@@ -212,7 +211,7 @@ class TestRandomCell:
 class TestCellFileFormat:
     def test_encode_decode_round_trip(self, tmp_path):
         path = tmp_path / "cell.cell"
-        write_cell_file(path, EXAMPLE_CELL)
+        path.write_text(EXAMPLE_CELL.encode())
         again = read_cell_file(path)
         assert again == EXAMPLE_CELL
         assert again.encode() == EXAMPLE_CELL.encode()

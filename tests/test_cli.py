@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swapnas.cells import AssemblyConfig, CellMatrix, random_cell, write_cell_file
+from swapnas.cells import AssemblyConfig, CellMatrix, random_cell
 from swapnas import cli, evaluation, evolution
 from swapnas.cli import main
 from swapnas.evaluation import load_accuracy_table, read_score_records, write_score_records
@@ -58,7 +60,7 @@ def score_calls(monkeypatch):
 @pytest.fixture
 def cell_file(tmp_path):
     path = tmp_path / "cell.cell"
-    write_cell_file(path, CELL)
+    path.write_text(CELL.encode())
     return str(path)
 
 
@@ -807,14 +809,6 @@ class TestAblateDims:
         assert out.count("dims=") == 2
         assert out_csv.read_text().startswith("dims,")
 
-    def test_truth_table_cells_used(self, capsys, truth_file):
-        code, out, _ = run(
-            capsys, "ablate-dims", "--dims", "3x5x5", "--truth", truth_file,
-            "--batch-size", "4", "--depth", "1", "--stem-channels", "4",
-        )
-        assert code == 0
-        assert out.count("dims=") == 1
-
     def test_one_row_truth_with_a_bell_leaves_the_correlations_blank(self, capsys, tmp_path):
         truth = tmp_path / "truth.csv"
         truth.write_text(f"arch_id,cell,accuracy\na0,{CELL.encode_line()},0.5\n")
@@ -828,6 +822,12 @@ class TestAblateDims:
         header, row = out_csv.read_text().splitlines()
         assert header.endswith(",rho_standard,rho_swap,rho_reg_swap")
         assert row.endswith(",,,")
+
+    def test_one_cell_without_a_bell_rejected_before_scoring(self, capsys, score_calls):
+        code, out, err = run(capsys, "ablate-dims", "--dims", "3x4x4", "--cells", "1", "--depth", "1")
+        assert code == 1
+        assert err == "error: the bell cannot be estimated from fewer than two cells; give --mu and --sigma instead\n"
+        assert out == "" and score_calls == []
 
     @pytest.mark.parametrize("flag", [("--cells", "3"), ("--nodes", "9"), ("--cells", "100"), ("--nodes", "4")])
     def test_random_cell_flags_rejected_with_truth(self, capsys, truth_file, flag):
@@ -1029,6 +1029,57 @@ class TestHelpAndErrors:
         assert "time.time" not in source
         assert "datetime" not in source
         assert "urandom" not in source
+
+
+def mutate(data: bytes, kind: str, at: int, byte: int) -> bytes:
+    """``data`` with byte ``at`` (mod its length) flipped by ``byte``, deleted, preceded by ``byte`` or made the last.
+
+    No cut leaves a file empty: an empty search config is the valid default search, which takes seconds.
+    """
+    at %= len(data)
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:at + 1]
+    if kind == "insert":
+        return data[:at] + bytes([byte]) + data[at:]
+    return data[:at] + data[at + 1:]
+
+
+# So small that no one-byte change, such as a digit put in front of a size,
+# makes a run slow; the batch comes first, so every prefix that parses does too.
+TINY_SEARCH = "batch=gauss:2x3x4x4\nstem_channels=2\ndepth=1\nnodes=3\nmutation_times=1\ncycles=1\npopulation=2\n"
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    """File suffix -> (a valid input file, its bytes, a command line that reads it)."""
+    tmp = tmp_path_factory.mktemp("readers")
+    cell, tensor, cfg, resume, ckpt = (tmp / f"input.{ext}" for ext in ("cell", "tensor", "cfg", "resume", "ckpt"))
+    cell.write_text(CELL.encode())
+    tensor.write_bytes(b"SWAPTENSOR v1 2 1 2 2\n" + np.arange(8, dtype="<f4").tobytes())
+    cfg.write_text(TINY_SEARCH)
+    resume.write_text(f"{TINY_SEARCH}checkpoint = {ckpt}\nresume = true\n")
+    score = ["score", "--cell", str(cell), "--depth", "1", "--stem-channels", "2", "--batch"]
+    argvs = {
+        ckpt: ["search", "--config", str(resume)],
+        cell: [*score, "gauss:2x3x4x4"],
+        tensor: [*score, str(tensor)],
+        cfg: ["search", "--config", str(cfg)],
+    }
+    assert [main(argv) for argv in argvs.values()] == [0] * 4  # the first run writes the checkpoint
+    return {path.suffix[1:]: (path, path.read_bytes(), argv) for path, argv in argvs.items()}
+
+
+@pytest.mark.parametrize("reader", ["cell", "tensor", "cfg", "ckpt"])
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["flip", "truncate", "insert", "delete"]), st.integers(0, 2**16), st.integers(1, 255))
+def test_a_mutated_input_file_exits_0_or_1(reader_inputs, reader, kind, at, byte):
+    path, valid, argv = reader_inputs[reader]
+    path.write_bytes(mutate(valid, kind, at, byte))
+    code = main(argv)
+    path.write_bytes(valid)  # the tensor reader's command line reads the cell file too
+    assert code in (0, 1)  # 2 is a runtime error: a bad byte got past the reader
 
 
 # Fixed-seed runs whose stdout and --out CSV are pinned byte for byte in

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapnas import evaluation
@@ -31,7 +31,6 @@ from swapnas.evaluation import (
     score_table,
     size_histogram,
     spearman_rho,
-    write_accuracy_table,
     write_plot_data,
     write_report_csv,
     write_score_records,
@@ -143,17 +142,6 @@ class TestLoadAccuracyTable:
             load_accuracy_table(path)
         assert str(exc.value) == message
 
-    def test_write_read_round_trip(self, tmp_path):
-        table = BenchmarkTable(
-            (
-                BenchmarkEntry("a", CELL_A, 0.75, 0.5),
-                BenchmarkEntry("b", CELL_B, 0.5, 2.0),
-            )
-        )
-        path = tmp_path / "t.csv"
-        write_accuracy_table(path, table)
-        assert load_accuracy_table(path) == table
-
 
 class TestScoreRecordsIO:
     def test_round_trip(self, tmp_path):
@@ -164,13 +152,7 @@ class TestScoreRecordsIO:
 
     def test_fields_with_commas_and_quotes_round_trip(self, tmp_path):
         awkward = 'a,"b'
-        records = [record(awkward, 10, 0.5), record("c", 20, 1.5, seed=1)]
-        path = tmp_path / "scores.csv"
-        write_score_records(path, records)
-        assert read_score_records(path) == records
-        table = BenchmarkTable((BenchmarkEntry(awkward, CELL_A, 0.75, None),))
-        write_accuracy_table(path, table)
-        assert load_accuracy_table(path) == table
+        path = tmp_path / "report.csv"
         write_report_csv(path, [{"id": awkward, "rho": 0.5}])
         with path.open() as fh:
             assert list(csv.reader(fh)) == [["id", "rho"], [awkward, "0.5"]]
@@ -272,6 +254,7 @@ positive_finite = st.floats(min_value=1e-9, max_value=1e12, allow_nan=False)
     swap=st.integers(0, 2**63),
     reg_swap=finite,
 )
+@example(arch_ids=['a,"b', "c"], accuracy=0.75, size_mb=None, seed=1, batch="gauss:2x3x4x4", swap=10, reg_swap=0.5)
 def test_both_formats_round_trip(arch_ids, accuracy, size_mb, seed, batch, swap, reg_swap):
     table = BenchmarkTable(
         tuple(BenchmarkEntry(a, random_cell(4, i), accuracy, size_mb) for i, a in enumerate(arch_ids))
@@ -280,7 +263,9 @@ def test_both_formats_round_trip(arch_ids, accuracy, size_mb, seed, batch, swap,
         ScoreRecord(a, swap, reg_swap, size_mb or 1.0, swap + i, seed, batch) for i, a in enumerate(arch_ids)
     ]
     with tempfile.TemporaryDirectory() as tmp:
-        write_accuracy_table(Path(tmp) / "t.csv", table)
+        with open(Path(tmp) / "t.csv", "w", encoding="ascii", newline="") as fh:
+            rows = [(e.arch_id, cell_field(e.cell), e.accuracy, e.size_mb) for e in table.entries]
+            csv.writer(fh).writerows([("arch_id", "cell", "accuracy", "size_mb"), *rows])
         assert load_accuracy_table(Path(tmp) / "t.csv") == table
         write_score_records(Path(tmp) / "s.csv", records)
         assert read_score_records(Path(tmp) / "s.csv") == records
@@ -678,10 +663,15 @@ class TestInputDimAblation:
             ([], [(3, 4, 4)], None, "empty cell list"),
             ([CELL_A], [], None, "empty dims list"),
             ([CELL_A, CELL_B], [(3, 4, 4)], [0.5], "need exactly one accuracy per cell"),
+            (
+                [CELL_A], [(3, 4, 4)], None,
+                "the bell cannot be estimated from fewer than two cells; give --mu and --sigma instead",
+            ),
         ],
-        ids=["no-cells", "no-dims", "accuracy-count"],
+        ids=["no-cells", "no-dims", "accuracy-count", "auto-bell-one-cell"],
     )
-    def test_rejects_empty_inputs_and_unmatched_accuracies(self, cells, dims, accuracies, message):
+    def test_rejects_bad_inputs_before_scoring(self, monkeypatch, cells, dims, accuracies, message):
+        monkeypatch.setattr(evaluation, "score_and_capture", None)
         asm = AssemblyConfig(depth=1, stem_channels=4)
         with pytest.raises(ValueError, match=f"^{message}$"):
             input_dim_ablation(cells, dims, 2, assembly=asm, accuracies=accuracies)

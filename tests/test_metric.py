@@ -374,6 +374,7 @@ class TestRegularisation:
         params = RegularisationParams(mu=0.7, sigma=0.25)
         assert regularised_swap_score(100, 0.7, params) == 100.0
         assert regularised_swap_score(0, 123.4, params) == 0.0
+        assert repr(regularised_swap_score(7, 123.4, None)) == "7.0"
         value = regularised_swap_score(1000, 0.7 + math.sqrt(0.25), params)
         assert value == pytest.approx(1000 * math.exp(-1), rel=1e-12)
         assert value == pytest.approx(367.879, abs=1e-3)

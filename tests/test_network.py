@@ -35,13 +35,11 @@ from swapnas.network import (
     _conv2d,
     _conv_blocks,
     _standardise,
-    build_mlp,
     build_network,
     forward_capture,
     gaussian_batch,
     network_from_nodes,
     read_tensor_file,
-    write_tensor_file,
 )
 
 CELL = CellMatrix(
@@ -76,6 +74,16 @@ def conv_chain(specs, seed=0, in_channels=3, standardise=True):
     return network_from_nodes(tuple(nodes), seed, in_channels, standardise)
 
 
+def dense_chain(units, seed=0, in_features=3, head_units=0):
+    """Build scored dense layers of ``units`` on (features, 1, 1) inputs, then an unscored head if asked."""
+    nodes = [NodeSpec("input", "input")]
+    for li, u in enumerate(units):
+        nodes.append(NodeSpec(f"dense{li}", "dense", (li,), units=u, scored=True))
+    if head_units:
+        nodes.append(NodeSpec("head", "dense", (len(nodes) - 1,), units=head_units))
+    return network_from_nodes(tuple(nodes), seed, in_features)
+
+
 class TestInputBatch:
     def test_gaussian_batch_shape_and_determinism(self):
         a = gaussian_batch(4, (3, 5, 6), seed=9)
@@ -100,12 +108,10 @@ class TestInputBatch:
     def test_tensor_file_round_trip(self, tmp_path):
         batch = gaussian_batch(3, (2, 4, 5), seed=1)
         path = tmp_path / "batch.tensor"
-        write_tensor_file(path, batch)
+        path.write_bytes(b"SWAPTENSOR v1 3 2 4 5\n" + batch.data.astype("<f4").tobytes())
         again = read_tensor_file(path)
         # float32 storage, so values survive exactly after the first round trip
         assert np.array_equal(again.data, batch.data.astype("<f4").astype(np.float64))
-        header = path.read_bytes().split(b"\n", 1)[0]
-        assert header == b"SWAPTENSOR v1 3 2 4 5"
 
     def test_tensor_file_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.tensor"
@@ -166,7 +172,7 @@ class TestInputBatch:
         # A pipe has no size until it is read, so its payload is checked after.
         batch = gaussian_batch(2, (1, 2, 2), seed=3)
         plain = tmp_path / "batch.tensor"
-        write_tensor_file(plain, batch)
+        plain.write_bytes(b"SWAPTENSOR v1 2 1 2 2\n" + batch.data.astype("<f4").tobytes())
         fifo = tmp_path / "batch.fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(plain.read_bytes() + b"\x00" * extra,), daemon=True)
@@ -232,7 +238,7 @@ class TestBuildNetwork:
         assert weighted == ["stem", "head.linear"]
 
     def test_one_weight_slot_per_node_required(self):
-        net = build_mlp(3, [2], seed=0)
+        net = dense_chain([2])
         with pytest.raises(AssemblyError, match="^one weight slot per node is required$"):
             NetworkInstance(net.nodes, net.weights[:-1], net.seed, net.in_channels)
 
@@ -251,15 +257,6 @@ class TestBuildNetwork:
         with pytest.raises(AssemblyError, match=f"^{re.escape(want)}$"):
             network_from_nodes(nodes, seed=0, in_channels=2)
 
-    @pytest.mark.parametrize(
-        "in_features, hidden, message",
-        [(0, [3], "in_features must be at least 1"), (3, [2, 0], "hidden layer sizes must be at least 1")],
-        ids=["no-features", "empty-layer"],
-    )
-    def test_mlp_sizes_checked(self, in_features, hidden, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            build_mlp(in_features, hidden, seed=0)
-
     def test_fan_in_scaling(self):
         cfg = AssemblyConfig(depth=1, stem_channels=64)
         net = build_network(ALL_SKIP, cfg, seed=3)
@@ -270,7 +267,7 @@ class TestBuildNetwork:
 
 class TestIntermediateValueCount:
     def test_mlp_counts_hidden_units(self):
-        net = build_mlp(5, [4, 3], seed=0)
+        net = dense_chain([4, 3], in_features=5)
         assert forward_capture(net, gaussian_batch(2, (5, 1, 1), seed=0)).n_values == 7
 
     def test_single_valid_conv_layer(self):
@@ -314,7 +311,7 @@ class TestForwardCapture:
 
     def test_tiny_positive_pre_activation_records_bit_one(self):
         # The capture's rule is ``value > 0``, with no epsilon threshold.
-        net = build_mlp(1, [1], seed=0)
+        net = dense_chain([1], in_features=1)
         ones = replace(
             net, weights=tuple(None if w is None else np.ones_like(w) for w in net.weights), standardise=False
         )
@@ -346,6 +343,11 @@ class TestForwardCapture:
         plain = forward_capture(net, batch).bits()
         permuted = forward_capture(net, shuffled).bits()
         assert np.array_equal(permuted, plain[:, perm])
+
+    def test_dense_rejects_spatial_input(self):
+        net = dense_chain([3], in_features=2)
+        with pytest.raises(ShapeError, match="dense"):
+            forward_capture(net, gaussian_batch(2, (2, 3, 3), seed=0))
 
     def test_batch_channel_mismatch_rejected(self):
         cfg = AssemblyConfig(depth=1, stem_channels=4)
@@ -980,26 +982,3 @@ class TestScaleInvariance:
         a = forward_capture(net, batch)
         b = forward_capture(replace(net, standardise=False), batch)
         assert a.n_values == b.n_values
-
-
-class TestMlp:
-    def test_builds_scored_chain(self):
-        net = build_mlp(6, [5, 4], seed=1, head_units=3)
-        kinds = [(n.kind, n.scored) for n in net.nodes]
-        assert kinds == [("input", False), ("dense", True), ("dense", True), ("dense", False)]
-
-    def test_forward_capture_on_mlp(self):
-        net = build_mlp(6, [5, 4], seed=1)
-        batch = gaussian_batch(8, (6, 1, 1), seed=2)
-        cap = forward_capture(net, batch)
-        assert cap.n_values == 9
-        assert cap.n_samples == 8
-
-    def test_dense_rejects_spatial_input(self):
-        nodes = (
-            NodeSpec("input", "input"),
-            NodeSpec("d", "dense", (0,), units=3, scored=True),
-        )
-        net = network_from_nodes(nodes, seed=0, in_channels=2)
-        with pytest.raises(ShapeError, match="dense"):
-            forward_capture(net, gaussian_batch(2, (2, 3, 3), seed=0))

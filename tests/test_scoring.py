@@ -27,7 +27,7 @@ from swapnas.evaluation import (
 )
 from swapnas.evolution import SearchConfig, run_search
 from swapnas.metric import RegularisationParams
-from swapnas.network import build_network, forward_capture, gaussian_batch, write_tensor_file
+from swapnas.network import build_network, forward_capture, gaussian_batch
 from swapnas.scoring import (
     derive_seed,
     make_batch,
@@ -78,9 +78,8 @@ class TestBatchSpecs:
         assert not np.array_equal(a.data, c.data)
 
     def test_make_batch_from_file(self, tmp_path):
-        batch = gaussian_batch(3, (2, 4, 4), seed=1)
         path = tmp_path / "b.tensor"
-        write_tensor_file(path, batch)
+        path.write_bytes(b"SWAPTENSOR v1 3 2 4 4\n" + bytes(4 * 3 * 2 * 4 * 4))
         loaded = make_batch(str(path), seed=999)  # seed irrelevant for files
         assert loaded.data.shape == (3, 2, 4, 4)
 
