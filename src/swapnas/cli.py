@@ -391,10 +391,7 @@ def _cmd_correlate(args) -> int:
     print(f"theta_rho={_fmt(report.mean['size_mb'])}")
     print(f"flops_rho={_fmt(report.mean['flops'])}")
     print(f"n_matched={report.n_matched}")
-    rows = [
-        {"seed": seed, **{m: rhos[m] for m in rhos}}
-        for seed, rhos in report.per_seed
-    ]
+    rows = [{"seed": seed, **rhos} for seed, rhos in report.per_seed]
     rows.append({"seed": "mean", **report.mean})
     if args.out:
         write_report_csv(args.out, rows)
@@ -497,14 +494,8 @@ def _cmd_ablate_dims(args) -> int:
         write_report_csv(args.out, csv_rows)
     if args.plot:
         xs = [float(r.dims[1] * r.dims[2]) for r in rows]
-        write_plot_data(
-            args.plot,
-            {
-                "standard_mean": list(zip(xs, [r.standard_mean for r in rows])),
-                "swap_mean": list(zip(xs, [r.swap_mean for r in rows])),
-                "reg_swap_mean": list(zip(xs, [r.reg_swap_mean for r in rows])),
-            },
-        )
+        means = ("standard_mean", "swap_mean", "reg_swap_mean")
+        write_plot_data(args.plot, {m: [(x, getattr(r, m)) for x, r in zip(xs, rows)] for m in means})
     return 0
 
 

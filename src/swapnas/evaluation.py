@@ -256,6 +256,12 @@ def _resolve_bell(reg, sizes) -> RegularisationParams | None:
     return estimate_mu_sigma(sizes) if reg == "auto" else reg
 
 
+def _check_bell_sample(reg, n_cells: int) -> None:
+    """Refuse, before any scoring, an "auto" bell over one cell; callers refuse an empty sample themselves."""
+    if reg == "auto" and n_cells == 1:
+        raise ValueError("the bell cannot be estimated from fewer than two cells; give --mu and --sigma instead")
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One grid entry of the bell-parameter sweep; mu=sigma=None is unregularised."""
@@ -361,13 +367,14 @@ def score_table(
     is scored with seed k (fresh batch, fresh weights).  Every entry is
     scored raw, on ``n_workers`` threads but at most one per core; the
     records do not depend on the schedule.  ``reg="auto"`` then estimates
-    the bell parameters once from the whole table's sizes, taking each
-    entry's reported size and else the size its record was scored with.
+    the bell once from the whole table's sizes (a one-entry table is refused
+    first), taking each entry's reported size, else its record's size.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     if n_workers < 1:
         raise ValueError(f"need at least one worker, got {n_workers}")
+    _check_bell_sample(reg, len(table))
     jobs = []
     for seed in range(n_seeds):
         group = table.entries[seed::n_seeds]
@@ -453,8 +460,7 @@ def input_dim_ablation(
         accuracies = [float(a) for a in accuracies]
         if len(accuracies) != len(cells):
             raise ValueError("need exactly one accuracy per cell")
-    if reg == "auto" and len(cells) < 2:
-        raise ValueError("the bell cannot be estimated from fewer than two cells; give --mu and --sigma instead")
+    _check_bell_sample(reg, len(cells))
     rows: list[AblationRow] = []
     for di, dims in enumerate(dims_list):
         batch = gaussian_batch(batch_size, dims, derive_seed(seed, BATCH_SALT + di))

@@ -20,8 +20,6 @@ import pytest
 from swapnas.cells import AssemblyConfig, CellMatrix, NodeSpec, nb201_like_assembly, random_cell
 from swapnas.network import build_network, forward_capture, gaussian_batch, network_from_nodes
 
-from test_network import dense_chain
-
 UNSCORED = (
     NodeSpec("input", "input"),
     NodeSpec("pool", "avg-pool", (0,), kernel=3, padding=1),
@@ -40,6 +38,14 @@ def _cell_case(cell_seed, assembly, dims, weight_seed):
     return lambda: build_network(random_cell(4, cell_seed), assembly, weight_seed, dims[0]), dims
 
 
+def _mlp_case(units, head_units, in_features, seed):
+    """Scored dense layers of ``units`` on (features, 1, 1) inputs, then an unscored head if asked."""
+    nodes = [NodeSpec("input", "input")]
+    nodes += [NodeSpec(f"dense{i}", "dense", (i,), units=u, scored=True) for i, u in enumerate(units)]
+    nodes += [NodeSpec("head", "dense", (len(units),), units=head_units)] if head_units else []
+    return lambda: network_from_nodes(tuple(nodes), seed, in_features), (in_features, 1, 1)
+
+
 # name -> (network factory, batch dims (C, W, H))
 CASES = {
     "nb201-a": _cell_case(1, nb201_like_assembly(depth=5, stem_channels=4), (3, 9, 9), 11),
@@ -50,8 +56,8 @@ CASES = {
         5, AssemblyConfig(depth=3, stem_channels=4, reductions=(1,), head=True), (3, 9, 7), 15
     ),
     "head": _cell_case(6, AssemblyConfig(depth=1, stem_channels=3, head=True, head_units=7), (1, 5, 5), 16),
-    "mlp": (lambda: dense_chain([5, 9, 4], seed=17, in_features=6), (6, 1, 1)),
-    "mlp-head": (lambda: dense_chain([8, 3], seed=18, in_features=4, head_units=2), (4, 1, 1)),
+    "mlp": _mlp_case([5, 9, 4], 0, 6, 17),
+    "mlp-head": _mlp_case([8, 3], 2, 4, 18),
     "unscored": (lambda: network_from_nodes(UNSCORED, seed=19, in_channels=3), (3, 6, 5)),
     "nb201-full": (lambda: build_network(FULL_CELL, nb201_like_assembly(), 21, 3), (3, 32, 32)),
     "pool-wx1": (lambda: build_network(FULL_CELL, AssemblyConfig(depth=2, stem_channels=4), 22, 3), (3, 7, 1)),

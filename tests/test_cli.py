@@ -785,10 +785,11 @@ class TestTableScoringErrors:
         truth.write_text(f"arch_id,cell,accuracy\na0,{cell},0.5\n")
         return str(truth)
 
-    def test_one_row_table_cannot_set_the_auto_bell(self, capsys, one_row_truth):
+    def test_one_row_table_cannot_set_the_auto_bell(self, capsys, one_row_truth, score_calls):
         code, _, err = run(capsys, "correlate", "--truth", one_row_truth, *TABLE_FLAGS)
         assert code == 1
-        assert "need at least two sizes" in err
+        assert err == "error: the bell cannot be estimated from fewer than two cells; give --mu and --sigma instead\n"
+        assert score_calls == []
 
     def test_one_row_sweep_names_the_record_count(self, capsys, one_row_truth):
         # The sweep scores raw, so no bell is estimated and the record count is the cause.
@@ -808,6 +809,14 @@ class TestAblateDims:
         assert code == 0
         assert out.count("dims=") == 2
         assert out_csv.read_text().startswith("dims,")
+
+    def test_truth_table_cells_used(self, capsys, truth_file):
+        code, out, _ = run(
+            capsys, "ablate-dims", "--dims", "3x5x5", "--truth", truth_file,
+            "--batch-size", "4", "--depth", "1", "--stem-channels", "4",
+        )
+        assert code == 0
+        assert out.count("dims=") == 1
 
     def test_one_row_truth_with_a_bell_leaves_the_correlations_blank(self, capsys, tmp_path):
         truth = tmp_path / "truth.csv"
@@ -1031,21 +1040,6 @@ class TestHelpAndErrors:
         assert "urandom" not in source
 
 
-def mutate(data: bytes, kind: str, at: int, byte: int) -> bytes:
-    """``data`` with byte ``at`` (mod its length) flipped by ``byte``, deleted, preceded by ``byte`` or made the last.
-
-    No cut leaves a file empty: an empty search config is the valid default search, which takes seconds.
-    """
-    at %= len(data)
-    if kind == "flip":
-        return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
-    if kind == "truncate":
-        return data[:at + 1]
-    if kind == "insert":
-        return data[:at] + bytes([byte]) + data[at:]
-    return data[:at] + data[at + 1:]
-
-
 # So small that no one-byte change, such as a digit put in front of a size,
 # makes a run slow; the batch comes first, so every prefix that parses does too.
 TINY_SEARCH = "batch=gauss:2x3x4x4\nstem_channels=2\ndepth=1\nnodes=3\nmutation_times=1\ncycles=1\npopulation=2\n"
@@ -1076,7 +1070,14 @@ def reader_inputs(tmp_path_factory):
 @given(st.sampled_from(["flip", "truncate", "insert", "delete"]), st.integers(0, 2**16), st.integers(1, 255))
 def test_a_mutated_input_file_exits_0_or_1(reader_inputs, reader, kind, at, byte):
     path, valid, argv = reader_inputs[reader]
-    path.write_bytes(mutate(valid, kind, at, byte))
+    at %= len(valid)
+    head, byte_at, tail = valid[:at], valid[at], valid[at + 1:]
+    path.write_bytes({
+        "flip": head + bytes([byte_at ^ byte]) + tail,
+        "truncate": head + bytes([byte_at]),  # never empty: an empty config runs the slow default search
+        "insert": head + bytes([byte, byte_at]) + tail,
+        "delete": head + tail,
+    }[kind])
     code = main(argv)
     path.write_bytes(valid)  # the tensor reader's command line reads the cell file too
     assert code in (0, 1)  # 2 is a runtime error: a bad byte got past the reader

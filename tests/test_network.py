@@ -74,14 +74,11 @@ def conv_chain(specs, seed=0, in_channels=3, standardise=True):
     return network_from_nodes(tuple(nodes), seed, in_channels, standardise)
 
 
-def dense_chain(units, seed=0, in_features=3, head_units=0):
-    """Build scored dense layers of ``units`` on (features, 1, 1) inputs, then an unscored head if asked."""
+def dense_chain(units, in_features=3):
+    """Build scored dense layers of ``units`` on (features, 1, 1) inputs."""
     nodes = [NodeSpec("input", "input")]
-    for li, u in enumerate(units):
-        nodes.append(NodeSpec(f"dense{li}", "dense", (li,), units=u, scored=True))
-    if head_units:
-        nodes.append(NodeSpec("head", "dense", (len(nodes) - 1,), units=head_units))
-    return network_from_nodes(tuple(nodes), seed, in_features)
+    nodes += [NodeSpec(f"dense{i}", "dense", (i,), units=u, scored=True) for i, u in enumerate(units)]
+    return network_from_nodes(tuple(nodes), 0, in_features)
 
 
 class TestInputBatch:
